@@ -20,7 +20,6 @@
 use crate::cache::{CacheStats, CachedResult, QueryCache};
 use crate::fairness::UserBuckets;
 use crate::flight::{FlightSink, FlightTable, Follower, LeadOutcome};
-use crate::lock_ignoring_poison;
 use crate::ops;
 use crate::policy::{
     exec_route, ExecRoute, FixedPolicy, SizeThresholdPolicy, SolverKind, SolverPolicy,
@@ -34,11 +33,12 @@ use crate::stream::{
 use crate::subtask::{EnginePool, SubtaskQueue};
 use crate::wire::{self, OrderMode};
 use qld_core::ParallelContext;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -251,47 +251,33 @@ pub(crate) struct PoolJob {
     /// Where the executing worker sends chunk frames and the terminal
     /// response.
     pub(crate) reply: ReplySender,
-    /// The canonical flight/cache key, pre-rendered by the submission site
-    /// when coalescing applies (`None` for control payloads or when
-    /// coalescing is off — the worker then renders the cache key itself).
+    /// The canonical flight/cache key, pre-rendered at submission when
+    /// coalescing applies (`None` for control payloads or when coalescing is
+    /// off — the worker then renders the cache key itself).
     pub(crate) key: Option<String>,
 }
 
-/// Where a job's frames go: the submitting session's event channel, plus an
-/// optional notifier for sessions multiplexed on a readiness loop (the loop
-/// cannot block on the channel, so each delivery pokes its waker instead;
-/// threaded sessions just block on the channel and pass `None`).
+/// Where a job's frames go: a delivery function supplied by the submitting
+/// session's driver.  A blocking driver forwards into its own channel; the
+/// readiness loop also pokes its waker after each delivery.
 #[derive(Clone)]
-pub(crate) struct ReplySender {
-    tx: Sender<StreamEvent>,
-    notify: Option<Arc<dyn Fn() + Send + Sync>>,
-}
+pub(crate) struct ReplySender(Arc<dyn Fn(StreamEvent) -> bool + Send + Sync>);
 
 impl ReplySender {
-    /// A reply channel for a session that blocks on `recv` (no notifier).
-    pub(crate) fn plain(tx: Sender<StreamEvent>) -> ReplySender {
-        ReplySender { tx, notify: None }
+    /// A reply path through `deliver`, which returns `false` once the
+    /// session has hung up.
+    pub(crate) fn new(deliver: impl Fn(StreamEvent) -> bool + Send + Sync + 'static) -> Self {
+        ReplySender(Arc::new(deliver))
     }
 
-    /// A reply channel that invokes `notify` after every delivered event.
-    pub(crate) fn notifying(tx: Sender<StreamEvent>, notify: Arc<dyn Fn() + Send + Sync>) -> Self {
-        ReplySender {
-            tx,
-            notify: Some(notify),
-        }
+    /// A reply path straight into a channel.
+    pub(crate) fn channel(tx: Sender<StreamEvent>) -> Self {
+        ReplySender::new(move |event| tx.send(event).is_ok())
     }
 
-    /// Delivers one event; `Err` means the session hung up its receiver.
-    pub(crate) fn send(&self, event: StreamEvent) -> Result<(), ()> {
-        match self.tx.send(event) {
-            Ok(()) => {
-                if let Some(notify) = &self.notify {
-                    notify();
-                }
-                Ok(())
-            }
-            Err(_) => Err(()),
-        }
+    /// Delivers one event; `false` means the session hung up.
+    pub(crate) fn send(&self, event: StreamEvent) -> bool {
+        (self.0)(event)
     }
 }
 
@@ -302,8 +288,8 @@ impl ReplySender {
 pub(crate) struct EngineCounters {
     /// Jobs admitted to the pool (queued or running) and not yet answered.
     inflight: AtomicU64,
-    /// Serve sessions currently inside [`Engine::serve_with`] or multiplexed
-    /// on a readiness loop.
+    /// Serve sessions currently open (a [`SessionMux`] driven by
+    /// [`Engine::serve_with`] or by the readiness loop).
     sessions: AtomicU64,
     /// Transport connections currently open (accept/close boundary).
     connections: AtomicU64,
@@ -317,15 +303,6 @@ impl EngineCounters {
     /// delivering a worker-level follower's terminal instead.
     pub(crate) fn job_finished(&self) {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Decrements the session gauge when a serve session ends, however it ends.
-struct SessionGuard<'a>(&'a EngineCounters);
-
-impl Drop for SessionGuard<'_> {
-    fn drop(&mut self) {
-        self.0.sessions.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -358,10 +335,61 @@ struct WorkerCtx {
     subtasks: Arc<SubtaskQueue>,
     /// Work-unit floor above which a duality call splits into subtasks.
     parallel_threshold: usize,
-    /// The single-flight registry (shared with the submission sites).
+    /// The single-flight registry (shared with [`PoolLink::submit`]).
     flights: Arc<FlightTable>,
     /// Whether workers coalesce duplicate cache misses into flights.
     coalesce: bool,
+}
+
+/// The submission side of the worker pool, shared by every session.
+pub(crate) struct PoolLink {
+    job_tx: SyncSender<PoolJob>,
+    /// Poked after each accepted job so parked workers wake for fresh jobs,
+    /// not just for subtasks.
+    subtasks: Arc<SubtaskQueue>,
+    counters: Arc<EngineCounters>,
+    /// The single-flight registry.
+    flights: Arc<FlightTable>,
+    /// Whether submissions render flight keys and attempt joins (coalescing
+    /// on, which requires the cache).
+    coalesce: bool,
+}
+
+impl PoolLink {
+    /// Hands one job to the engine; every job enters here.  A job whose
+    /// flight key matches an execution already in flight attaches to it as a
+    /// follower and takes no pool slot.  Any other job joins the shared
+    /// queue: when `blocking`, the call waits while the queue is full;
+    /// otherwise a full queue hands the job back (`Some`) for a later retry.
+    fn submit(&self, job: PoolJob, blocking: bool) -> Option<PoolJob> {
+        if let Some(key) = &job.key {
+            if self
+                .flights
+                .try_join(key, || Follower::from_job(&job, false))
+            {
+                return None;
+            }
+        }
+        // Count before sending: a fast worker may settle the job first.
+        self.counters.inflight.fetch_add(1, Ordering::Relaxed);
+        let refused = if blocking {
+            self.job_tx
+                .send(job)
+                .err()
+                .map(|e| mpsc::TrySendError::Disconnected(e.0))
+        } else {
+            self.job_tx.try_send(job).err()
+        };
+        let Some(refused) = refused else {
+            self.subtasks.notify_workers();
+            return None;
+        };
+        self.counters.inflight.fetch_sub(1, Ordering::Relaxed);
+        match refused {
+            mpsc::TrySendError::Full(job) => Some(job),
+            mpsc::TrySendError::Disconnected(_) => panic!("worker pool alive"),
+        }
+    }
 }
 
 /// The concurrent query engine.  Dropping it shuts the worker pool down
@@ -374,16 +402,8 @@ pub struct Engine {
     /// Why the configured snapshot failed to restore, if it did.
     cache_restore_error: Option<String>,
     /// `Some` for the engine's lifetime; taken in `Drop` to hang up the queue.
-    job_tx: Option<SyncSender<PoolJob>>,
+    pool: Option<Arc<PoolLink>>,
     handles: Vec<JoinHandle<()>>,
-    /// Live load counters (shared with the worker pool for `stats`).
-    counters: Arc<EngineCounters>,
-    /// The subtask queue shared with the pool: submission sites poke it so
-    /// parked workers wake for fresh jobs, not just for subtasks.
-    subtasks: Arc<SubtaskQueue>,
-    /// The single-flight registry: submission sites attach duplicates to
-    /// in-flight executions before they ever occupy a pool slot.
-    flights: Arc<FlightTable>,
 }
 
 impl Engine {
@@ -443,16 +463,20 @@ impl Engine {
                 thread::spawn(move || worker_loop(&ctx, &job_rx, worker_index))
             })
             .collect();
+        let pool = Arc::new(PoolLink {
+            job_tx,
+            subtasks,
+            counters,
+            flights,
+            coalesce: config.cache && config.coalesce,
+        });
         Engine {
             config,
             cache,
             cache_restored,
             cache_restore_error,
-            job_tx: Some(job_tx),
+            pool: Some(pool),
             handles,
-            counters,
-            subtasks,
-            flights,
         }
     }
 
@@ -476,7 +500,8 @@ impl Engine {
     /// counts the ones executed by a worker other than the one that spawned
     /// them (the rest ran inline on the owning worker at its join point).
     pub fn subtask_stats(&self) -> (u64, u64) {
-        (self.subtasks.spawned(), self.subtasks.stolen())
+        let subtasks = &self.pool().subtasks;
+        (subtasks.spawned(), subtasks.stolen())
     }
 
     /// Single-flight counters since startup: `(flights_led, coalesced)`.
@@ -484,12 +509,8 @@ impl Engine {
     /// coalescible cache miss); `coalesced` counts the duplicate requests
     /// that attached to one instead of executing — solver runs avoided.
     pub fn coalesce_stats(&self) -> (u64, u64) {
-        (self.flights.led(), self.flights.coalesced())
-    }
-
-    /// Whether submission sites should render flight keys and attempt joins.
-    fn coalesce_enabled(&self) -> bool {
-        self.config.cache && self.config.coalesce
+        let flights = &self.pool().flights;
+        (flights.led(), flights.coalesced())
     }
 
     /// How many entries [`Engine::new`] restored from the configured cache
@@ -543,31 +564,46 @@ impl Engine {
         }
     }
 
-    /// The shared job queue's sender (alive for the engine's lifetime).
-    fn sender(&self) -> &SyncSender<PoolJob> {
-        self.job_tx.as_ref().expect("pool alive until drop")
+    /// The pool's submission side (alive for the engine's lifetime).
+    fn pool(&self) -> &Arc<PoolLink> {
+        self.pool.as_ref().expect("pool alive until drop")
     }
 
     /// Marks one transport connection open for `stats` reporting; the
     /// returned guard closes it.
     pub(crate) fn track_connection(&self) -> ConnectionGuard {
-        self.counters.connections.fetch_add(1, Ordering::Relaxed);
+        let counters = &self.pool().counters;
+        counters.connections.fetch_add(1, Ordering::Relaxed);
         ConnectionGuard {
-            counters: Arc::clone(&self.counters),
+            counters: Arc::clone(counters),
         }
     }
 
-    /// Builds the non-blocking session state machine a readiness loop drives
-    /// (see [`SessionMux`]); `reply` is the session's job-reply channel,
-    /// already wired to the loop's waker.
-    pub(crate) fn session_mux(&self, options: &ServeOptions, reply: ReplySender) -> SessionMux {
-        self.counters.sessions.fetch_add(1, Ordering::Relaxed);
+    /// Builds the state machine of one serve session, counted on the
+    /// `sessions` gauge until it drops.  `reply` is the session's job-reply
+    /// path; `blocking` selects how a full job queue is met (see
+    /// [`SessionMux`]).
+    pub(crate) fn session_mux(
+        &self,
+        options: &ServeOptions,
+        reply: ReplySender,
+        blocking: bool,
+    ) -> SessionMux {
+        let mut mux = self.mux(options, reply, blocking);
+        mux.counted = true;
+        self.pool()
+            .counters
+            .sessions
+            .fetch_add(1, Ordering::Relaxed);
+        mux
+    }
+
+    /// A session state machine that is not counted as a serve session.
+    fn mux(&self, options: &ServeOptions, reply: ReplySender, blocking: bool) -> SessionMux {
         SessionMux {
-            job_tx: self.sender().clone(),
-            subtasks: Arc::clone(&self.subtasks),
-            counters: Arc::clone(&self.counters),
-            flights: Arc::clone(&self.flights),
-            coalesce: self.coalesce_enabled(),
+            pool: Arc::clone(self.pool()),
+            blocking,
+            counted: false,
             reply,
             default_order: options.order,
             max_inflight: options.max_inflight,
@@ -578,86 +614,40 @@ impl Engine {
             reorder_capacity: self.config.queue_capacity.max(1) * 4,
             seq: 0,
             ordered: 0,
-            emission: HashMap::new(),
+            positions: HashMap::new(),
             inflight: HashMap::new(),
+            waiting: HashMap::new(),
+            backlog: VecDeque::new(),
             next_ordered: 0,
             pending: BTreeMap::new(),
-            requests: 0,
-            errors: 0,
-            pool_closed: false,
+            summary: ServeSummary::default(),
         }
     }
 
     /// Executes a batch of requests on the worker pool; `responses[i]` answers
     /// `requests[i]`.  Submission shares the bounded queue with any concurrent
     /// sessions.
+    ///
+    /// The batch is one arrival-ordered session: requests are submitted in
+    /// order, and each terminal lands in the slot of its `id`.
     pub fn run_batch(&self, requests: Vec<Request>) -> Vec<Response> {
-        let total = requests.len();
         let (reply_tx, reply_rx) = mpsc::channel::<StreamEvent>();
-        for (seq, request) in requests.into_iter().enumerate() {
-            // Sub-threshold one-shot queries run inline (see [`ExecRoute`]):
-            // answered on this thread through the embedded solver, no pool
-            // round-trip, no cache participation.
-            if exec_route(&request, false, self.config.local_threshold) == ExecRoute::Local {
-                let response = local_response(
-                    seq as u64,
-                    None,
-                    &request,
-                    None,
-                    self.config.policy.as_ref(),
-                );
-                let _ = reply_tx.send(StreamEvent::Done(response));
-                continue;
-            }
-            let payload = Payload::Query {
-                request,
-                solver: None,
-            };
-            let cancel = CancelToken::new();
-            // Single-flight: a request identical to one already executing
-            // (or queued) attaches to it as a follower instead of taking a
-            // pool slot — the flight delivers its terminal response.
-            let key = flight_key(&payload, self.coalesce_enabled());
-            if let Some(key) = &key {
-                let follower = Follower::new(
-                    seq as u64,
-                    None,
-                    false,
-                    cancel.clone(),
-                    None,
-                    ReplySender::plain(reply_tx.clone()),
-                    false,
-                );
-                if self.flights.try_join(key, follower) {
-                    continue;
-                }
-            }
-            let job = PoolJob {
-                seq: seq as u64,
-                client_id: None,
-                payload,
-                stream: false,
-                cancel,
-                max_items: None,
-                reply: ReplySender::plain(reply_tx.clone()),
-                key,
-            };
-            self.counters.inflight.fetch_add(1, Ordering::Relaxed);
-            self.sender().send(job).expect("worker pool alive");
-            self.subtasks.notify_workers();
+        let options = ServeOptions {
+            order: OrderMode::Arrival,
+            ..ServeOptions::default()
+        };
+        let mut mux = self.mux(&options, ReplySender::channel(reply_tx), true);
+        let mut slots: Vec<Option<Response>> = Vec::new();
+        slots.resize_with(requests.len(), || None);
+        for request in requests {
+            mux.submit(Submission::query(request), &mut slots);
         }
-        drop(reply_tx);
-        let mut out: Vec<Option<Response>> = Vec::new();
-        out.resize_with(total, || None);
-        for event in reply_rx {
-            // One-shot jobs emit no chunk frames; only terminal responses
-            // arrive here.
-            if let StreamEvent::Done(response) = event {
-                let slot = response.id as usize;
-                out[slot] = Some(response);
-            }
+        while !mux.is_idle() {
+            let event = reply_rx.recv().expect("the mux keeps its reply path open");
+            mux.on_event(event, &mut slots);
         }
-        out.into_iter()
+        slots
+            .into_iter()
             .map(|slot| slot.expect("worker pool answered every request"))
             .collect()
     }
@@ -676,47 +666,30 @@ impl Engine {
     /// boundary (the terminal response then carries the partial result,
     /// `halted:"cancelled"`); dropping the handle mid-stream cancels the
     /// same way, the first time the job tries to yield.
+    ///
+    /// A duplicate of an in-flight execution subscribes to its fan-out —
+    /// already-produced chunks replay first, then live ones, all under this
+    /// handle's own cancel/quota.
     pub fn run_streaming(&self, request: Request, options: StreamRunOptions) -> StreamHandle {
         let (reply_tx, reply_rx) = mpsc::channel::<StreamEvent>();
         let cancel = CancelToken::new();
+        let pool = self.pool();
         let payload = Payload::Query {
             request,
             solver: options.solver,
         };
-        // Single-flight: a duplicate of an in-flight execution subscribes to
-        // its fan-out — already-produced chunks replay first, then live
-        // ones, all under this handle's own cancel/quota.
-        let key = flight_key(&payload, self.coalesce_enabled());
-        if let Some(key) = &key {
-            let follower = Follower::new(
-                0,
-                options.client_id.clone(),
-                true,
-                cancel.clone(),
-                options.max_items,
-                ReplySender::plain(reply_tx.clone()),
-                false,
-            );
-            if self.flights.try_join(key, follower) {
-                return StreamHandle {
-                    cancel,
-                    events: reply_rx,
-                };
-            }
-        }
         let job = PoolJob {
             seq: 0,
             client_id: options.client_id,
+            key: flight_key(&payload, pool.coalesce),
             payload,
             stream: true,
             cancel: cancel.clone(),
             max_items: options.max_items,
-            reply: ReplySender::plain(reply_tx),
-            key,
+            reply: ReplySender::channel(reply_tx),
         };
-        self.counters.inflight.fetch_add(1, Ordering::Relaxed);
-        self.sender().send(job).expect("worker pool alive");
-        self.subtasks.notify_workers();
+        // A blocking submit never hands the job back.
+        pool.submit(job, true);
         StreamHandle {
             cancel,
             events: reply_rx,
@@ -739,7 +712,7 @@ impl Engine {
     ///
     /// With `order: input` (the default) responses are written in request
     /// order — a bounded reorder buffer holds responses that finish early,
-    /// and the reader pauses when that buffer fills, so one slow head-of-line
+    /// and reading pauses while that buffer is full, so one slow head-of-line
     /// request cannot make the buffer grow with the stream.  With
     /// `order: arrival` every response is written the moment it completes,
     /// possibly out of order; the `id` (and echoed `id=` correlation token)
@@ -760,353 +733,133 @@ impl Engine {
         output: &mut W,
         options: &ServeOptions,
     ) -> std::io::Result<ServeSummary> {
-        self.counters.sessions.fetch_add(1, Ordering::Relaxed);
-        let _session = SessionGuard(&self.counters);
-        let mut summary = ServeSummary::default();
-        let mut write_error: Option<std::io::Error> = None;
-        let read_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        // Session-local emission plan, filled by the feeder before each job is
-        // submitted: which responses join the ordered stream (and at which
-        // position) and which are emitted on arrival.
-        let emission: Mutex<HashMap<u64, Emission>> = Mutex::new(HashMap::new());
-        // The session's in-flight jobs: sequence number → cancellation token,
-        // registered at submission, removed when the terminal response is
-        // collected.  This is what a `cancel id=N` request resolves against,
-        // what `--max-inflight` admission counts, and what the abort path
-        // cancels wholesale so a disconnected session's queued jobs are
-        // dropped instead of running to completion for nobody.
-        let inflight: Mutex<HashMap<u64, CancelToken>> = Mutex::new(HashMap::new());
-        // Bound on completed-but-unemitted ordered responses: one slow
-        // head-of-line request must not let the reorder buffer grow with the
-        // stream.  The feeder pauses once this many responses are held.
-        let reorder_capacity = self.config.queue_capacity.max(1) * 4;
-        let held = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let (reply_tx, reply_rx) = mpsc::channel::<StreamEvent>();
-        thread::scope(|scope| {
-            // Feeder thread: parses lines into jobs and pushes them into the
-            // shared bounded queue (send blocks while all workers are busy and
-            // the queue is full), pausing while the reorder buffer is at
-            // capacity.  Control commands (`cancel`) and quota rejections are
-            // answered by the feeder itself, through the same reply channel,
-            // so their responses still follow the session's emission plan.
-            {
-                let emission = &emission;
-                let inflight = &inflight;
-                let read_error = &read_error;
-                let held = &held;
-                let abort = &abort;
-                let job_tx = self.sender().clone();
-                let subtasks = Arc::clone(&self.subtasks);
-                let counters = &self.counters;
-                let flights = Arc::clone(&self.flights);
-                let coalesce = self.coalesce_enabled();
-                let local_threshold = self.config.local_threshold;
-                let policy = Arc::clone(&self.config.policy);
-                let default_order = options.order;
-                let max_inflight = options.max_inflight;
-                let max_items = options.max_items;
-                let user_quota = options.user_quota.clone();
-                scope.spawn(move || {
-                    let mut seq: u64 = 0;
-                    let mut ordered: u64 = 0;
-                    let control_stats = || RequestStats {
-                        solver: "-".to_string(),
-                        ..RequestStats::default()
-                    };
-                    for line in input.lines() {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let line = match line {
-                            Ok(line) => line,
-                            Err(e) => {
-                                *lock_ignoring_poison(read_error) = Some(e);
-                                break;
-                            }
-                        };
-                        let trimmed = line.trim();
-                        if trimmed.is_empty() || trimmed.starts_with('#') {
-                            continue;
-                        }
-                        let (client_id, order, stream, auth, action) =
-                            match wire::parse_line(trimmed) {
-                                Ok(parsed) => {
-                                    let action = match parsed.command {
-                                        wire::Command::Query(request) => {
-                                            FeedAction::Submit(Payload::Query {
-                                                request,
-                                                solver: parsed.solver,
-                                            })
-                                        }
-                                        wire::Command::Stats => FeedAction::Submit(Payload::Stats),
-                                        wire::Command::Cancel { target } => {
-                                            FeedAction::Cancel(target)
-                                        }
-                                    };
-                                    (
-                                        parsed.id,
-                                        parsed.order.unwrap_or(default_order),
-                                        parsed.stream,
-                                        parsed.auth,
-                                        action,
-                                    )
-                                }
-                                Err(message) => (
-                                    wire::salvage_client_id(trimmed),
-                                    default_order,
-                                    false,
-                                    None,
-                                    FeedAction::Submit(Payload::Malformed(message)),
-                                ),
-                            };
-                        // Cancel requests are pure control: they are resolved
-                        // and answered immediately — always on arrival, ahead
-                        // of the reorder-buffer backpressure below, because a
-                        // cancel may be the very thing that unblocks a stuck
-                        // head-of-line request.  Immediate emission keeps a
-                        // flood of cancels bounded (each is written straight
-                        // out, never buffered).
-                        if let FeedAction::Cancel(target) = action {
-                            let cancelled = match lock_ignoring_poison(inflight).get(&target) {
-                                Some(token) => {
-                                    token.cancel();
-                                    true
-                                }
-                                None => false,
-                            };
-                            lock_ignoring_poison(emission).insert(seq, Emission::Immediate);
-                            let response = Response {
-                                id: seq,
-                                client_id,
-                                outcome: Ok(Outcome::Cancel { target, cancelled }),
-                                halted: None,
-                                chunks: stream.then_some(0),
-                                stats: control_stats(),
-                            };
-                            let _ = reply_tx.send(StreamEvent::Done(response));
-                            seq += 1;
-                            continue;
-                        }
-                        // Streamed requests always emit on arrival: holding an
-                        // unbounded number of chunks for in-order emission
-                        // would defeat both the latency and the memory point
-                        // of streaming (documented in WIRE.md).
-                        let plan = match order {
-                            OrderMode::Input if !stream => {
-                                let position = ordered;
-                                ordered += 1;
-                                Emission::Ordered(position)
-                            }
-                            _ => Emission::Immediate,
-                        };
-                        lock_ignoring_poison(emission).insert(seq, plan);
-                        // Backpressure before anything that can occupy the
-                        // reorder buffer — including quota rejections, which
-                        // would otherwise grow `pending` without bound behind
-                        // one slow head-of-line request.
-                        while held.load(Ordering::Relaxed) >= reorder_capacity
-                            && !abort.load(Ordering::Relaxed)
-                        {
-                            thread::sleep(Duration::from_millis(1));
-                        }
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let FeedAction::Submit(payload) = action else {
-                            unreachable!("cancel handled above")
-                        };
-                        // Per-user fairness gates solver work at admission:
-                        // an authenticated query whose user is out of tokens
-                        // is answered with a `quota` error before it can
-                        // occupy a worker.  Control traffic (`stats`) and
-                        // malformed lines are never throttled.
-                        if let (Some(quota), Some(user), Payload::Query { .. }) =
-                            (user_quota.as_deref(), auth.as_deref(), &payload)
-                        {
-                            if !quota.admit(user) {
-                                counters.throttled.fetch_add(1, Ordering::Relaxed);
-                                let response = Response {
-                                    id: seq,
-                                    client_id,
-                                    outcome: Err(EngineError::quota(format!(
-                                        "user `{user}` exceeded the admission rate \
-                                         ({} req/s, burst {})",
-                                        quota.rate_per_sec(),
-                                        quota.burst()
-                                    ))),
-                                    halted: None,
-                                    chunks: stream.then_some(0),
-                                    stats: control_stats(),
-                                };
-                                let _ = reply_tx.send(StreamEvent::Done(response));
-                                seq += 1;
-                                continue;
-                            }
-                        }
-                        if let Some(limit) = max_inflight {
-                            if lock_ignoring_poison(inflight).len() >= limit {
-                                let response = Response {
-                                    id: seq,
-                                    client_id,
-                                    outcome: Err(EngineError::quota(format!(
-                                        "session in-flight quota exceeded \
-                                         ({limit} request(s) already running)"
-                                    ))),
-                                    halted: None,
-                                    chunks: stream.then_some(0),
-                                    stats: control_stats(),
-                                };
-                                let _ = reply_tx.send(StreamEvent::Done(response));
-                                seq += 1;
-                                continue;
-                            }
-                        }
-                        // Sub-threshold one-shot queries run inline on the
-                        // feeder thread (see [`ExecRoute`]), answered through
-                        // the same reply channel as quota rejections so the
-                        // session's emission plan still applies.
-                        if let Payload::Query { request, solver } = &payload {
-                            if exec_route(request, stream, local_threshold) == ExecRoute::Local {
-                                let response = local_response(
-                                    seq,
-                                    client_id,
-                                    request,
-                                    *solver,
-                                    policy.as_ref(),
-                                );
-                                let _ = reply_tx.send(StreamEvent::Done(response));
-                                seq += 1;
-                                continue;
-                            }
-                        }
-                        let cancel = CancelToken::new();
-                        // Single-flight: attach to an identical in-flight
-                        // query instead of submitting a duplicate job.  The
-                        // follower still registers as in flight for the
-                        // session (cancellable, counted by `--max-inflight`);
-                        // its terminal arrives via the same reply channel.
-                        let key = flight_key(&payload, coalesce);
-                        if let Some(key) = &key {
-                            let follower = Follower::new(
-                                seq,
-                                client_id.clone(),
-                                stream,
-                                cancel.clone(),
-                                max_items,
-                                ReplySender::plain(reply_tx.clone()),
-                                false,
-                            );
-                            if flights.try_join(key, follower) {
-                                lock_ignoring_poison(inflight).insert(seq, cancel);
-                                seq += 1;
-                                continue;
-                            }
-                        }
-                        lock_ignoring_poison(inflight).insert(seq, cancel.clone());
-                        let job = PoolJob {
-                            seq,
-                            client_id,
-                            payload,
-                            stream,
-                            cancel,
-                            max_items,
-                            reply: ReplySender::plain(reply_tx.clone()),
-                            key,
-                        };
-                        counters.inflight.fetch_add(1, Ordering::Relaxed);
-                        if job_tx.send(job).is_err() {
-                            counters.inflight.fetch_sub(1, Ordering::Relaxed);
-                            break;
-                        }
-                        subtasks.notify_workers();
-                        seq += 1;
-                    }
-                    // Dropping the feeder's `reply_tx` (moved in) lets the
-                    // collector loop end once all in-flight jobs answered.
-                    drop(reply_tx);
-                });
-            }
-            // Collector (this thread): drain chunk frames and terminal
-            // responses as they complete; chunks are written immediately,
-            // terminal responses follow the session's ordering plan.
-            let mut next_ordered: u64 = 0;
-            let mut pending: BTreeMap<u64, Response> = BTreeMap::new();
-            let mut aborted = false;
-            for event in reply_rx {
-                if aborted {
-                    continue; // drain in-flight work, discard
-                }
-                let response = match event {
-                    StreamEvent::Chunk(frame) => {
-                        let failed = writeln!(output, "{}", frame.to_json_line())
-                            .and_then(|()| output.flush())
-                            .err();
-                        if let Some(e) = failed {
-                            write_error = Some(e);
-                            aborted = true;
-                            abort.store(true, Ordering::Relaxed);
-                            cancel_all(&inflight);
-                        }
-                        continue;
-                    }
-                    StreamEvent::Done(response) => response,
-                };
-                lock_ignoring_poison(&inflight).remove(&response.id);
-                summary.requests += 1;
-                if !response.is_ok() {
-                    summary.errors += 1;
-                }
-                let plan = lock_ignoring_poison(&emission)
-                    .remove(&response.id)
-                    .unwrap_or(Emission::Immediate);
-                let mut ready: Vec<Response> = Vec::new();
-                match plan {
-                    Emission::Immediate => ready.push(response),
-                    Emission::Ordered(position) => {
-                        pending.insert(position, response);
-                        while let Some(next) = pending.remove(&next_ordered) {
-                            ready.push(next);
-                            next_ordered += 1;
-                        }
-                        held.store(pending.len(), Ordering::Relaxed);
-                    }
-                }
-                if ready.is_empty() {
-                    continue;
-                }
-                let mut failed = None;
-                for r in &ready {
-                    if let Err(e) = writeln!(output, "{}", r.to_json_line()) {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                if failed.is_none() {
-                    if let Err(e) = output.flush() {
-                        failed = Some(e);
-                    }
-                }
-                if let Some(e) = failed {
-                    write_error = Some(e);
-                    aborted = true;
-                    abort.store(true, Ordering::Relaxed);
-                    // The session is gone: stop its queued jobs (workers
-                    // drop a cancelled job at its first yield boundary)
-                    // instead of computing results nobody will read.
-                    cancel_all(&inflight);
-                }
-            }
-        });
-        if let Some(e) = write_error {
-            return Err(e);
+        match self.drive_session(input, output, options) {
+            (_, Some(error)) => Err(error),
+            (summary, None) => Ok(summary),
         }
-        if let Some(e) = read_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            return Err(e);
-        }
-        output.flush()?;
-        Ok(summary)
     }
+
+    /// The blocking session driver behind [`Engine::serve_with`]: one reader
+    /// thread hands lines to this thread, which drives a [`SessionMux`] and
+    /// writes what it releases.  Returns the session's tallies on every exit
+    /// path, along with the I/O error that ended it, if any.
+    pub(crate) fn drive_session<R: BufRead + Send, W: Write>(
+        &self,
+        input: R,
+        output: &mut W,
+        options: &ServeOptions,
+    ) -> (ServeSummary, Option<std::io::Error>) {
+        let (input_tx, inputs) = mpsc::channel::<SessionInput>();
+        let (credit_tx, credits) = mpsc::sync_channel::<()>(READ_AHEAD);
+        for _ in 0..READ_AHEAD {
+            let _ = credit_tx.try_send(());
+        }
+        let events = input_tx.clone();
+        let reply = ReplySender::new(move |event| {
+            events.send(SessionInput::Event(Box::new(event))).is_ok()
+        });
+        let mut mux = self.session_mux(options, reply, true);
+        let error = thread::scope(|scope| {
+            scope.spawn(move || read_lines(input, input_tx, credits));
+            drive(&mut mux, inputs, credit_tx, output)
+        });
+        (mux.summary(), error)
+    }
+}
+
+/// Lines a blocking session's reader thread may read ahead of its driver.
+const READ_AHEAD: usize = 8;
+
+/// What wakes a blocking session driver.
+enum SessionInput {
+    /// One input line from the reader thread.
+    Line(String),
+    /// The input ended: EOF (`None`) or a read error.
+    End(Option<std::io::Error>),
+    /// A worker event for the session's mux (boxed: events are several
+    /// times the size of the other variants).
+    Event(Box<StreamEvent>),
+}
+
+/// Reports the end of a session's input when its reader stops, however it
+/// stops — a panicking reader included, so the driver never waits on input
+/// that will not come.
+struct InputEnd {
+    tx: Sender<SessionInput>,
+    error: Option<std::io::Error>,
+}
+
+impl Drop for InputEnd {
+    fn drop(&mut self) {
+        let _ = self.tx.send(SessionInput::End(self.error.take()));
+    }
+}
+
+/// The reader thread of a blocking session: reads one line per credit, so
+/// reading pauses once the driver holds [`READ_AHEAD`] unconsumed lines.
+fn read_lines<R: BufRead>(input: R, tx: Sender<SessionInput>, credits: Receiver<()>) {
+    let mut end = InputEnd { tx, error: None };
+    let mut lines = input.lines();
+    while credits.recv().is_ok() {
+        match lines.next() {
+            Some(Ok(line)) => {
+                if end.tx.send(SessionInput::Line(line)).is_err() {
+                    return;
+                }
+            }
+            Some(Err(e)) => {
+                end.error = Some(e);
+                return;
+            }
+            None => return,
+        }
+    }
+}
+
+/// The driving thread of a blocking session: feeds lines to the mux in
+/// order, applies worker events, and writes whatever the mux releases.  A
+/// line the mux stalls on (reorder buffer full) is retried after the next
+/// worker event, and its credit is withheld until then.  Returns the I/O
+/// error that ended the session, if any.
+fn drive<W: Write>(
+    mux: &mut SessionMux,
+    inputs: Receiver<SessionInput>,
+    credits: SyncSender<()>,
+    output: &mut W,
+) -> Option<std::io::Error> {
+    let mut held: VecDeque<String> = VecDeque::new();
+    let mut reading = true;
+    let mut read_error = None;
+    let mut out = Vec::new();
+    while reading || !held.is_empty() || !mux.is_idle() {
+        // The mux's reply path holds a sender, so this never disconnects.
+        let Ok(input) = inputs.recv() else { break };
+        match input {
+            SessionInput::Line(line) => held.push_back(line),
+            SessionInput::End(error) => {
+                reading = false;
+                read_error = error;
+            }
+            SessionInput::Event(event) => mux.on_event(*event, &mut out),
+        }
+        while let Some(line) = held.front() {
+            if mux.feed_line(line, &mut out) == MuxFeed::Stalled {
+                break;
+            }
+            held.pop_front();
+            let _ = credits.try_send(());
+        }
+        if !out.is_empty() {
+            if let Err(e) = output.write_all(&out).and_then(|()| output.flush()) {
+                // The consumer is gone: stop the session's jobs instead of
+                // computing results nobody will read.
+                mux.abort();
+                return Some(e);
+            }
+            out.clear();
+        }
+    }
+    read_error.or_else(|| output.flush().err())
 }
 
 /// The canonical flight key of a query payload — the request's cache key
@@ -1128,295 +881,352 @@ fn flight_key(payload: &Payload, coalesce: bool) -> Option<String> {
     Some(key)
 }
 
-/// Cancels every in-flight job of an aborted session.
-fn cancel_all(inflight: &Mutex<HashMap<u64, CancelToken>>) {
-    for token in lock_ignoring_poison(inflight).values() {
-        token.cancel();
-    }
+/// The 64-bit digest a session keeps per in-flight request instead of a
+/// second copy of its flight key.  A collision only makes a request wait
+/// for an unrelated one; it never changes an answer, so a cheap mix will do.
+/// Keys run to kilobytes, and this sits on every submission: four
+/// independent FxHash-style lanes over 8-byte words keep the multiply chain
+/// short (about 0.8 µs for a 12 KB key on a 2-vCPU x86-64 VM, against
+/// 3.8 µs for SipHash).
+fn key_hash(key: &str) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut lanes = [key.len() as u64, 1, 2, 3];
+    let mut mix = |block: &[u8]| {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            *lane = (lane.rotate_left(5) ^ word).wrapping_mul(K);
+        }
+    };
+    let mut blocks = key.as_bytes().chunks_exact(32);
+    blocks.by_ref().for_each(&mut mix);
+    let mut tail = [0u8; 32];
+    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    mix(&tail);
+    lanes.iter().fold(0, |hash, &lane| {
+        (hash.rotate_left(5) ^ lane).wrapping_mul(K)
+    })
 }
 
-/// What [`SessionMux::feed_line`] did with one wire line.
+/// Whether [`SessionMux::feed_line`] consumed a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MuxFeed {
     /// The line was consumed: answered immediately, submitted to the pool,
-    /// or skipped (blank/comment).
+    /// parked behind a same-session duplicate, or skipped (blank/comment).
     Progress,
-    /// The line was **not** consumed: the session's reorder buffer or the
-    /// shared job queue is full.  Retry the same line once responses drain.
+    /// The line was **not** consumed: the session's reorder buffer is full,
+    /// or jobs the full pool queue refused are still waiting.  Retry the
+    /// same line once responses drain.
     Stalled,
-    /// The worker pool hung up (the engine is shutting down); the session
-    /// cannot make progress and should be closed.
-    PoolClosed,
 }
 
-/// The non-blocking equivalent of one [`Engine::serve_with`] session: the
-/// feeder and collector halves of the threaded loop folded into a state
-/// machine a readiness loop can drive from one thread.
+/// One typed session request: the wire envelope plus the parsed command.
+pub(crate) struct Submission {
+    client_id: Option<String>,
+    order: Option<OrderMode>,
+    stream: bool,
+    auth: Option<String>,
+    solver: Option<SolverKind>,
+    /// The command, or why the line did not parse (answered as a `parse`
+    /// error in the line's sequence slot).
+    command: Result<wire::Command, String>,
+}
+
+impl Submission {
+    /// Parses one trimmed, non-blank wire line.
+    fn parse(line: &str) -> Submission {
+        match wire::parse_line(line) {
+            Ok(parsed) => Submission {
+                client_id: parsed.id,
+                order: parsed.order,
+                stream: parsed.stream,
+                auth: parsed.auth,
+                solver: parsed.solver,
+                command: Ok(parsed.command),
+            },
+            Err(message) => Submission {
+                client_id: wire::salvage_client_id(line),
+                order: None,
+                stream: false,
+                auth: None,
+                solver: None,
+                command: Err(message),
+            },
+        }
+    }
+
+    /// A plain one-shot query with no envelope options (a batch element).
+    fn query(request: Request) -> Submission {
+        Submission {
+            client_id: None,
+            order: None,
+            stream: false,
+            auth: None,
+            solver: None,
+            command: Ok(wire::Command::Query(request)),
+        }
+    }
+}
+
+/// Where a session's frames leave its [`SessionMux`]: rendered JSON lines
+/// for wire sessions, typed responses for batches.
+pub(crate) trait MuxOutput {
+    /// A chunk frame of a streamed request (always emitted on arrival).
+    fn chunk(&mut self, frame: ChunkFrame);
+    /// A terminal response, released in the session's emission order.
+    fn response(&mut self, response: Response);
+}
+
+/// A wire session's output buffer: one JSON line per frame.
+impl MuxOutput for Vec<u8> {
+    fn chunk(&mut self, frame: ChunkFrame) {
+        self.extend_from_slice(frame.to_json_line().as_bytes());
+        self.push(b'\n');
+    }
+
+    fn response(&mut self, response: Response) {
+        self.extend_from_slice(response.to_json_line().as_bytes());
+        self.push(b'\n');
+    }
+}
+
+/// A batch's answers: each terminal lands in the slot of its `id`, which is
+/// the request's index in the batch.  Batch requests are one-shot, so no
+/// chunk frames arrive.
+impl MuxOutput for Vec<Option<Response>> {
+    fn chunk(&mut self, _frame: ChunkFrame) {}
+
+    fn response(&mut self, response: Response) {
+        let slot = response.id as usize;
+        self[slot] = Some(response);
+    }
+}
+
+/// A request of the session that has not been answered yet.
+struct InFlight {
+    /// What a `cancel id=N` naming this request raises.
+    cancel: CancelToken,
+    /// [`key_hash`] of its flight key, when it has one.
+    key_hash: Option<u64>,
+}
+
+/// One session: the engine's only implementation of session semantics,
+/// driven by [`Engine::serve_with`] (a blocking reader thread),
+/// [`Engine::run_batch`] (typed requests), and the epoll readiness loop
+/// (`crate::readiness`).
 ///
-/// The semantics mirror `serve_with` exactly — per-session sequence numbers,
-/// the cancel/quota control paths, the `order=input` reorder buffer with its
-/// bounded capacity, immediate emission for streams — so every wire test
-/// passes unchanged over either transport.  The differences are mechanical:
-/// lines arrive via [`SessionMux::feed_line`] instead of a blocking reader,
-/// worker events via [`SessionMux::on_event`] instead of a blocking `recv`,
-/// and rendered response bytes accumulate in a caller-owned buffer instead
-/// of going straight to a socket.
+/// It owns per-session sequence numbers, wire parsing, `cancel`, user-quota
+/// and `--max-inflight` admission, the local route, the same-session
+/// duplicate rule, pool submission (and through it the flight join), and
+/// the bounded `order=input` reorder buffer.  Requests enter via
+/// [`SessionMux::feed_line`] or [`SessionMux::submit`]; worker events via
+/// [`SessionMux::on_event`]; everything that becomes emittable goes to a
+/// [`MuxOutput`].
+///
+/// A **blocking** mux waits on a full job queue, like any thread that
+/// submits work.  A non-blocking one (the readiness loop) keeps the refused
+/// job in a backlog that [`SessionMux::pump`] retries, and stalls new lines
+/// until the backlog drains.
+///
+/// **Same-session duplicates.**  A request whose flight key matches one of
+/// the session's own requests still in flight waits here, parked, until
+/// that request's terminal arrives.  It is then submitted, and the cache
+/// answers it.  A parked request takes no pool slot, but it counts toward
+/// `--max-inflight` and can be cancelled.  Requests from different sessions
+/// still coalesce through the flight table.
 pub(crate) struct SessionMux {
-    job_tx: SyncSender<PoolJob>,
-    /// Pokes parked workers after each accepted job.
-    subtasks: Arc<SubtaskQueue>,
-    counters: Arc<EngineCounters>,
-    /// The engine's single-flight registry (duplicate queries attach to
-    /// in-flight executions instead of becoming pool jobs).
-    flights: Arc<FlightTable>,
-    /// Whether this session renders flight keys and attempts joins.
-    coalesce: bool,
-    /// Template reply channel cloned into every job (already wired to the
-    /// readiness loop's waker).
+    pool: Arc<PoolLink>,
+    blocking: bool,
+    /// Counted on the `sessions` gauge (serve sessions are, batches not).
+    counted: bool,
+    /// Reply path cloned into every job.
     reply: ReplySender,
     default_order: OrderMode,
     max_inflight: Option<usize>,
     max_items: Option<u64>,
     user_quota: Option<Arc<UserBuckets>>,
     /// [`EngineConfig::local_threshold`]: sub-threshold one-shot queries are
-    /// answered inline by `feed_line` instead of becoming pool jobs.
+    /// answered inline instead of becoming pool jobs.
     local_threshold: usize,
     /// The engine's routing policy, for those inline answers.
     policy: Arc<dyn SolverPolicy>,
     reorder_capacity: usize,
     seq: u64,
+    /// Next position in the ordered stream.
     ordered: u64,
-    emission: HashMap<u64, Emission>,
-    inflight: HashMap<u64, CancelToken>,
+    /// Ordered-stream position of each unanswered `order=input` request;
+    /// a request absent here is emitted the moment it is answered.
+    positions: HashMap<u64, u64>,
+    inflight: HashMap<u64, InFlight>,
+    /// Same-session duplicates parked per flight-key hash.  An entry exists
+    /// while a request with that hash is submitted.
+    waiting: HashMap<u64, VecDeque<PoolJob>>,
+    /// Admitted jobs the full pool queue refused (non-blocking mode only).
+    backlog: VecDeque<PoolJob>,
     next_ordered: u64,
     pending: BTreeMap<u64, Response>,
-    requests: u64,
-    errors: u64,
-    pool_closed: bool,
+    summary: ServeSummary,
 }
 
 impl Drop for SessionMux {
     fn drop(&mut self) {
-        self.counters.sessions.fetch_sub(1, Ordering::Relaxed);
+        if self.counted {
+            self.pool.counters.sessions.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
 impl SessionMux {
-    /// Feeds one wire line (already split, not yet trimmed).  Rendered
-    /// responses — control answers, quota rejections — are appended to `out`.
-    /// [`MuxFeed::Stalled`] means the line was not consumed and must be
-    /// re-fed after [`SessionMux::on_event`] has drained some state.
-    pub(crate) fn feed_line(&mut self, line: &str, out: &mut Vec<u8>) -> MuxFeed {
-        if self.pool_closed {
-            return MuxFeed::PoolClosed;
-        }
+    /// Feeds one wire line (already split, not yet trimmed).
+    pub(crate) fn feed_line(&mut self, line: &str, out: &mut impl MuxOutput) -> MuxFeed {
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             return MuxFeed::Progress;
         }
-        let control_stats = || RequestStats {
-            solver: "-".to_string(),
-            ..RequestStats::default()
-        };
-        let (client_id, order, stream, auth, action) = match wire::parse_line(trimmed) {
-            Ok(parsed) => {
-                let action = match parsed.command {
-                    wire::Command::Query(request) => FeedAction::Submit(Payload::Query {
-                        request,
-                        solver: parsed.solver,
-                    }),
-                    wire::Command::Stats => FeedAction::Submit(Payload::Stats),
-                    wire::Command::Cancel { target } => FeedAction::Cancel(target),
-                };
-                (
-                    parsed.id,
-                    parsed.order.unwrap_or(self.default_order),
-                    parsed.stream,
-                    parsed.auth,
-                    action,
-                )
-            }
-            Err(message) => (
-                wire::salvage_client_id(trimmed),
-                self.default_order,
-                false,
-                None,
-                FeedAction::Submit(Payload::Malformed(message)),
-            ),
-        };
-        // Cancels resolve ahead of the reorder backpressure, exactly as in
-        // the threaded feeder: a cancel may be what unblocks a stuck
-        // head-of-line request.
-        if let FeedAction::Cancel(target) = action {
-            let cancelled = match self.inflight.get(&target) {
-                Some(token) => {
-                    token.cancel();
-                    true
-                }
-                None => false,
-            };
-            let seq = self.next_seq();
-            self.emission.insert(seq, Emission::Immediate);
-            self.finish(
-                Response {
-                    id: seq,
-                    client_id,
-                    outcome: Ok(Outcome::Cancel { target, cancelled }),
-                    halted: None,
-                    chunks: stream.then_some(0),
-                    stats: control_stats(),
-                },
-                out,
-            );
-            return MuxFeed::Progress;
-        }
-        // The threaded feeder sleeps here while the reorder buffer is at
-        // capacity; the non-blocking equivalent is to leave the line
-        // unconsumed and let the loop retry after responses drain.
-        if self.pending.len() >= self.reorder_capacity {
-            return MuxFeed::Stalled;
-        }
-        let FeedAction::Submit(payload) = action else {
-            unreachable!("cancel handled above")
-        };
-        let plan = match order {
-            OrderMode::Input if !stream => {
-                let position = self.ordered;
-                Emission::Ordered(position)
-            }
-            _ => Emission::Immediate,
-        };
-        let throttled = match (&self.user_quota, auth.as_deref(), &payload) {
-            (Some(quota), Some(user), Payload::Query { .. }) if !quota.admit(user) => {
-                Some(format!(
-                    "user `{user}` exceeded the admission rate ({} req/s, burst {})",
-                    quota.rate_per_sec(),
-                    quota.burst()
-                ))
-            }
-            _ => None,
-        };
-        if let Some(message) = throttled {
-            self.counters.throttled.fetch_add(1, Ordering::Relaxed);
-            let seq = self.next_seq();
-            self.commit_plan(seq, plan);
-            self.finish(
-                Response {
-                    id: seq,
-                    client_id,
-                    outcome: Err(EngineError::quota(message)),
-                    halted: None,
-                    chunks: stream.then_some(0),
-                    stats: control_stats(),
-                },
-                out,
-            );
-            return MuxFeed::Progress;
-        }
-        if let Some(limit) = self.max_inflight {
-            if self.inflight.len() >= limit {
+        self.submit(Submission::parse(trimmed), out)
+    }
+
+    /// Admits one typed request.  [`MuxFeed::Stalled`] means nothing was
+    /// committed: submit the same request again after
+    /// [`SessionMux::on_event`] or [`SessionMux::pump`] has made room.
+    pub(crate) fn submit(&mut self, request: Submission, out: &mut impl MuxOutput) -> MuxFeed {
+        let Submission {
+            client_id,
+            order,
+            stream,
+            auth,
+            solver,
+            command,
+        } = request;
+        let payload = match command {
+            // Cancels resolve ahead of the backpressure below: a cancel may
+            // be what unblocks a stuck head-of-line request.
+            Ok(wire::Command::Cancel { target }) => {
+                let cancelled = self.inflight.get(&target).map(|f| f.cancel.cancel());
+                let outcome = Ok(Outcome::Cancel {
+                    target,
+                    cancelled: cancelled.is_some(),
+                });
                 let seq = self.next_seq();
-                self.commit_plan(seq, plan);
-                self.finish(
-                    Response {
-                        id: seq,
-                        client_id,
-                        outcome: Err(EngineError::quota(format!(
-                            "session in-flight quota exceeded \
-                             ({limit} request(s) already running)"
-                        ))),
-                        halted: None,
-                        chunks: stream.then_some(0),
-                        stats: control_stats(),
-                    },
-                    out,
-                );
+                self.finish(control_response(seq, client_id, stream, outcome), out);
                 return MuxFeed::Progress;
             }
+            Ok(wire::Command::Query(request)) => Payload::Query { request, solver },
+            Ok(wire::Command::Stats) => Payload::Stats,
+            Err(message) => Payload::Malformed(message),
+        };
+        if self.pending.len() >= self.reorder_capacity || !self.backlog.is_empty() {
+            return MuxFeed::Stalled;
+        }
+        let seq = self.next_seq();
+        // Streamed requests always emit on arrival: holding an unbounded
+        // number of chunks for in-order emission would defeat both the
+        // latency and the memory point of streaming (see WIRE.md).
+        if order.unwrap_or(self.default_order) == OrderMode::Input && !stream {
+            self.positions.insert(seq, self.ordered);
+            self.ordered += 1;
+        }
+        if let Some(message) = self.refusal(auth.as_deref(), &payload) {
+            let outcome = Err(EngineError::quota(message));
+            self.finish(control_response(seq, client_id, stream, outcome), out);
+            return MuxFeed::Progress;
         }
         // Sub-threshold one-shot queries are answered inline (see
-        // [`ExecRoute`]) — no pool job, no in-flight registration; the
-        // response follows the session's emission plan like any other.
+        // [`ExecRoute`]): no pool job, no in-flight registration.
         if let Payload::Query { request, solver } = &payload {
             if exec_route(request, stream, self.local_threshold) == ExecRoute::Local {
-                let response =
-                    local_response(self.seq, client_id, request, *solver, self.policy.as_ref());
-                let seq = self.next_seq();
-                self.commit_plan(seq, plan);
+                let response = local_response(seq, client_id, request, *solver, &*self.policy);
                 self.finish(response, out);
                 return MuxFeed::Progress;
             }
         }
+        let key = flight_key(&payload, self.pool.coalesce);
+        let hash = key.as_deref().map(key_hash);
         let cancel = CancelToken::new();
-        // Single-flight, mirroring the threaded feeder: a duplicate of an
-        // in-flight query attaches as a follower — no pool job, no queue
-        // capacity consumed (so it cannot stall), terminal via `on_event`.
-        let key = flight_key(&payload, self.coalesce);
-        if let Some(k) = &key {
-            let follower = Follower::new(
-                self.seq,
-                client_id.clone(),
-                stream,
-                cancel.clone(),
-                self.max_items,
-                self.reply.clone(),
-                false,
-            );
-            if self.flights.try_join(k, follower) {
-                let seq = self.next_seq();
-                self.commit_plan(seq, plan);
-                self.inflight.insert(seq, cancel);
-                return MuxFeed::Progress;
-            }
-        }
+        self.inflight.insert(
+            seq,
+            InFlight {
+                cancel: cancel.clone(),
+                key_hash: hash,
+            },
+        );
         let job = PoolJob {
-            seq: self.seq,
+            seq,
             client_id,
             payload,
             stream,
-            cancel: cancel.clone(),
+            cancel,
             max_items: self.max_items,
             reply: self.reply.clone(),
             key,
         };
-        match self.job_tx.try_send(job) {
-            Ok(()) => {
-                self.subtasks.notify_workers();
-                self.counters.inflight.fetch_add(1, Ordering::Relaxed);
-                let seq = self.next_seq();
-                self.commit_plan(seq, plan);
-                self.inflight.insert(seq, cancel);
-                MuxFeed::Progress
+        match hash.map(|hash| self.waiting.entry(hash)) {
+            Some(Entry::Occupied(mut parked)) => parked.get_mut().push_back(job),
+            Some(Entry::Vacant(slot)) => {
+                slot.insert(VecDeque::new());
+                self.dispatch(job);
             }
-            // Queue full is the readiness-loop form of the feeder blocking on
-            // `send`: nothing was committed, so the same line retries intact.
-            Err(mpsc::TrySendError::Full(_)) => MuxFeed::Stalled,
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                self.pool_closed = true;
-                MuxFeed::PoolClosed
+            None => self.dispatch(job),
+        }
+        MuxFeed::Progress
+    }
+
+    /// Why admission refuses a request, if it does: the user's token bucket
+    /// is empty (authenticated queries only; control traffic and malformed
+    /// lines are never throttled), or the session is at its `--max-inflight`
+    /// quota.
+    fn refusal(&self, auth: Option<&str>, payload: &Payload) -> Option<String> {
+        if let (Some(quota), Some(user), Payload::Query { .. }) = (&self.user_quota, auth, payload)
+        {
+            if !quota.admit(user) {
+                self.pool.counters.throttled.fetch_add(1, Ordering::Relaxed);
+                return Some(format!(
+                    "user `{user}` exceeded the admission rate ({} req/s, burst {})",
+                    quota.rate_per_sec(),
+                    quota.burst()
+                ));
             }
+        }
+        match self.max_inflight {
+            Some(limit) if self.inflight.len() >= limit => Some(format!(
+                "session in-flight quota exceeded ({limit} request(s) already running)"
+            )),
+            _ => None,
         }
     }
 
-    /// Applies one worker event, appending any rendered output to `out` —
-    /// the collector half of the threaded loop.
-    pub(crate) fn on_event(&mut self, event: StreamEvent, out: &mut Vec<u8>) {
+    /// Applies one worker event, handing what becomes emittable to `out`.
+    pub(crate) fn on_event(&mut self, event: StreamEvent, out: &mut impl MuxOutput) {
         match event {
-            StreamEvent::Chunk(frame) => {
-                out.extend_from_slice(frame.to_json_line().as_bytes());
-                out.push(b'\n');
-            }
+            StreamEvent::Chunk(frame) => out.chunk(frame),
             StreamEvent::Done(response) => {
-                self.inflight.remove(&response.id);
+                if let Some(InFlight {
+                    key_hash: Some(hash),
+                    ..
+                }) = self.inflight.remove(&response.id)
+                {
+                    self.release(hash);
+                }
                 self.finish(response, out);
             }
         }
     }
 
-    /// Cancels every in-flight job (the session's consumer is gone).
+    /// Retries the jobs the full pool queue refused, oldest first; `true`
+    /// once none are left.
+    pub(crate) fn pump(&mut self) -> bool {
+        while let Some(job) = self.backlog.pop_front() {
+            if let Some(job) = self.pool.submit(job, self.blocking) {
+                self.backlog.push_front(job);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Cancels every in-flight request (the session's consumer is gone).
     pub(crate) fn abort(&mut self) {
-        for token in self.inflight.values() {
-            token.cancel();
+        for request in self.inflight.values() {
+            request.cancel.cancel();
         }
     }
 
@@ -1425,10 +1235,9 @@ impl SessionMux {
         self.inflight.is_empty() && self.pending.is_empty()
     }
 
-    /// (requests answered, error responses) so far — the session's
-    /// contribution to a [`crate::transport::TransportSummary`].
-    pub(crate) fn tallies(&self) -> (u64, u64) {
-        (self.requests, self.errors)
+    /// Requests answered (and error responses among them) so far.
+    pub(crate) fn summary(&self) -> ServeSummary {
+        self.summary
     }
 
     /// Consumes the next session sequence number.
@@ -1438,32 +1247,39 @@ impl SessionMux {
         seq
     }
 
-    /// Registers `seq`'s emission plan, consuming an ordered position if the
-    /// plan is ordered.
-    fn commit_plan(&mut self, seq: u64, plan: Emission) {
-        if let Emission::Ordered(_) = plan {
-            self.ordered += 1;
-        }
-        self.emission.insert(seq, plan);
+    /// Submits a job to the pool, behind any backlog.
+    fn dispatch(&mut self, job: PoolJob) {
+        self.backlog.push_back(job);
+        self.pump();
     }
 
-    /// Routes one terminal response through the session's emission plan,
-    /// rendering everything that becomes emittable.
-    fn finish(&mut self, response: Response, out: &mut Vec<u8>) {
-        self.requests += 1;
-        if !response.is_ok() {
-            self.errors += 1;
+    /// Passes a finished request's key on to the next parked duplicate.  The
+    /// worker caches a result before it sends the terminal, so the duplicate
+    /// is answered from the cache.
+    fn release(&mut self, hash: u64) {
+        let Some(parked) = self.waiting.get_mut(&hash) else {
+            return;
+        };
+        match parked.pop_front() {
+            Some(next) => self.dispatch(next),
+            None => {
+                self.waiting.remove(&hash);
+            }
         }
-        let plan = self
-            .emission
-            .remove(&response.id)
-            .unwrap_or(Emission::Immediate);
-        match plan {
-            Emission::Immediate => render_response(&response, out),
-            Emission::Ordered(position) => {
+    }
+
+    /// Routes one terminal response through the session's emission plan.
+    fn finish(&mut self, response: Response, out: &mut impl MuxOutput) {
+        self.summary.requests += 1;
+        if !response.is_ok() {
+            self.summary.errors += 1;
+        }
+        match self.positions.remove(&response.id) {
+            None => out.response(response),
+            Some(position) => {
                 self.pending.insert(position, response);
                 while let Some(next) = self.pending.remove(&self.next_ordered) {
-                    render_response(&next, out);
+                    out.response(next);
                     self.next_ordered += 1;
                 }
             }
@@ -1471,37 +1287,35 @@ impl SessionMux {
     }
 }
 
-/// Appends one response as a JSON line to a session output buffer.
-fn render_response(response: &Response, out: &mut Vec<u8>) {
-    out.extend_from_slice(response.to_json_line().as_bytes());
-    out.push(b'\n');
-}
-
-/// What the feeder does with one parsed line.
-enum FeedAction {
-    /// Submit a job to the worker pool.
-    Submit(Payload),
-    /// Resolve a `cancel id=N` against the session's in-flight registry.
-    Cancel(u64),
+/// A response the session answers itself (cancel, quota rejection): no
+/// worker, no solver telemetry.
+fn control_response(
+    seq: u64,
+    client_id: Option<String>,
+    stream: bool,
+    outcome: Result<Outcome, EngineError>,
+) -> Response {
+    Response {
+        id: seq,
+        client_id,
+        outcome,
+        halted: None,
+        chunks: stream.then_some(0),
+        stats: RequestStats {
+            solver: "-".to_string(),
+            ..RequestStats::default()
+        },
+    }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
         // Hang up the job queue; workers exit once it drains.
-        self.job_tx.take();
+        self.pool.take();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
-}
-
-/// How one response should leave a serve session.
-#[derive(Debug, Clone, Copy)]
-enum Emission {
-    /// Write the moment the response arrives (out-of-order streaming).
-    Immediate,
-    /// Write at this position of the in-order stream.
-    Ordered(u64),
 }
 
 /// How long one worker holds the job-queue receiver per poll.  This bounds
@@ -1510,17 +1324,6 @@ enum Emission {
 /// timeout (pushes also notify the subtask condvar, so parked non-holders
 /// wake immediately — the timeout is the backstop for the lock holder).
 const JOB_POLL: Duration = Duration::from_millis(2);
-
-/// The persistent worker body, until the engine hangs up the queue: steal
-/// and run intra-query subtasks, then poll the job queue, then execute one
-/// job, around again.
-///
-/// Subtasks are drained *first*: they subdivide queries the pool already
-/// accepted, so finishing them beats starting new work — and an idle sibling
-/// picking them up is the entire point of splitting.  Only one worker at a
-/// time polls the shared job receiver (`try_lock`); the others park on the
-/// subtask condvar so neither jobs nor subtasks are ever left waiting on a
-/// busy loop.
 /// Answers a local-routed query inline on the calling (session) thread.
 ///
 /// This is the in-process fast path of [`ExecRoute::Local`]: the same
@@ -1592,6 +1395,16 @@ fn local_response(
     }
 }
 
+/// The persistent worker body, until the engine hangs up the queue: steal
+/// and run intra-query subtasks, then poll the job queue, then execute one
+/// job, around again.
+///
+/// Subtasks are drained *first*: they subdivide queries the pool already
+/// accepted, so finishing them beats starting new work — and an idle sibling
+/// picking them up is the entire point of splitting.  Only one worker at a
+/// time polls the shared job receiver (`try_lock`); the others park on the
+/// subtask condvar so neither jobs nor subtasks are ever left waiting on a
+/// busy loop.
 fn worker_loop(ctx: &WorkerCtx, jobs: &Mutex<Receiver<PoolJob>>, worker_index: usize) {
     loop {
         ctx.subtasks.drain_steal();
@@ -1615,10 +1428,12 @@ fn worker_loop(ctx: &WorkerCtx, jobs: &Mutex<Receiver<PoolJob>>, worker_index: u
                 // execution as a follower: the flight delivers its terminal
                 // and settles the in-flight gauge.
                 if let Some(response) = answer(ctx, worker_index, &job) {
+                    // Settle the gauge before the terminal leaves, so a
+                    // session holding all its answers has nothing in flight.
                     // A receiver that hung up (aborted session) just
                     // discards the answer.
-                    let _ = job.reply.send(StreamEvent::Done(response));
                     ctx.counters.job_finished();
+                    job.reply.send(StreamEvent::Done(response));
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -1751,7 +1566,7 @@ impl<'a> WorkerSink<'a> {
             kind: self.kind,
             payload,
         };
-        if self.job.reply.send(StreamEvent::Chunk(frame)).is_ok() {
+        if self.job.reply.send(StreamEvent::Chunk(frame)) {
             self.emitted += 1;
         } else {
             self.receiver_gone = true;
@@ -1834,7 +1649,7 @@ fn process_one(
         (Some(key), true) => {
             match ctx
                 .flights
-                .lead_or_join(key, request.kind(), || Follower::from_job(job))
+                .lead_or_join(key, request.kind(), || Follower::from_job(job, true))
             {
                 LeadOutcome::Lead(lease) => Some(lease),
                 LeadOutcome::Joined => return None,
@@ -2009,6 +1824,7 @@ mod tests {
     use crate::response::Outcome;
     use qld_hypergraph::generators;
     use std::io::{BufReader, Read};
+    use std::sync::atomic::AtomicBool;
 
     fn engine(workers: usize, cache: bool) -> Engine {
         Engine::new(EngineConfig {
@@ -2283,16 +2099,27 @@ keys 1,2;1,3
             ..EngineConfig::default()
         });
         let li = generators::matching_instance(3);
-        let input = format!(
-            "check {} {} solver=quadlog\nstats\n",
-            edges_text(&li.g),
-            edges_text(&li.h)
-        );
-        let mut out = Vec::new();
-        let summary = eng.serve(input.as_bytes(), &mut out).unwrap();
+        // `stats` snapshots the counters when it executes, which may be while
+        // the check is still running; send it only once the check's terminal
+        // has been written, so the snapshot covers the whole split.
+        let responded = Arc::new(AtomicBool::new(false));
+        let reader = BufReader::new(LineAfterResponse {
+            first: Some(format!(
+                "check {} {} solver=quadlog\n",
+                edges_text(&li.g),
+                edges_text(&li.h)
+            )),
+            second: Some("stats\n".to_string()),
+            responded: Arc::clone(&responded),
+        });
+        let mut writer = FlagWriter {
+            responded,
+            data: Vec::new(),
+        };
+        let summary = eng.serve(reader, &mut writer).unwrap();
         assert_eq!(summary.requests, 2);
         assert_eq!(summary.errors, 0);
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(writer.data).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].contains("\"dual\":true"), "{}", lines[0]);
         let stats_line = lines[1];
@@ -2404,6 +2231,37 @@ keys 1,2;1,3
                 thread::sleep(Duration::from_millis(5));
             }
             Ok(0)
+        }
+    }
+
+    /// A reader that yields its `first` line, then holds the input until the
+    /// response flag (set by [`FlagWriter`]) is up before yielding `second`,
+    /// then reports EOF.
+    struct LineAfterResponse {
+        first: Option<String>,
+        second: Option<String>,
+        responded: Arc<AtomicBool>,
+    }
+
+    impl Read for LineAfterResponse {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let line = match self.first.take() {
+                Some(line) => line,
+                None => match self.second.take() {
+                    Some(line) => {
+                        for _ in 0..2000 {
+                            if self.responded.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            thread::sleep(Duration::from_millis(5));
+                        }
+                        line
+                    }
+                    None => return Ok(0),
+                },
+            };
+            buf[..line.len()].copy_from_slice(line.as_bytes());
+            Ok(line.len())
         }
     }
 

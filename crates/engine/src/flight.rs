@@ -26,13 +26,15 @@
 //! while the flight runs on for the followers — and a naturally completed
 //! flight is cached even if the original leader gave up along the way.
 //!
-//! Joins happen at two levels: the submission sites (`run_batch`, the
-//! threaded feeder, `SessionMux::feed_line`, `run_streaming`) attach before
-//! a duplicate ever occupies a pool slot, and the worker itself re-checks
-//! after its cache miss (`lead_or_join`) so duplicates that raced past the
-//! submission check still coalesce.  `qld front` adds a third, router-level
-//! tier for one-shot duplicates across client sessions (see
-//! `crates/front/src/coalesce.rs`).
+//! Joins happen at two levels: `PoolLink::submit`, the one place every job
+//! enters the engine (sessions, batches and `run_streaming` alike), attaches
+//! before a duplicate ever occupies a pool slot, and the worker itself
+//! re-checks after its cache miss (`lead_or_join`) so duplicates that raced
+//! past the submission check still coalesce.  Duplicates *within* one
+//! session never get this far: the session parks them behind their leader
+//! (see `SessionMux`), so they are answered from the cache instead.
+//! `qld front` adds a third, router-level tier for one-shot duplicates
+//! across client sessions (see `crates/front/src/coalesce.rs`).
 
 use crate::engine::{EngineCounters, PoolJob, ReplySender};
 use crate::lock_ignoring_poison;
@@ -86,10 +88,10 @@ impl FlightTable {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    /// Attaches `follower` to the key's active flight, if one exists and is
-    /// still accepting joins.  `false` means the caller must submit (or
-    /// execute) the request itself.
-    pub(crate) fn try_join(&self, key: &str, follower: Follower) -> bool {
+    /// Attaches a follower (`make_follower` is only called on a join) to the
+    /// key's active flight, if one exists and is still accepting joins.
+    /// `false` means the caller must submit the request itself.
+    pub(crate) fn try_join(&self, key: &str, make_follower: impl FnOnce() -> Follower) -> bool {
         let table = lock_ignoring_poison(&self.inner);
         let Some(flight) = table.get(key) else {
             return false;
@@ -98,7 +100,7 @@ impl FlightTable {
         if state.completed {
             return false;
         }
-        state.followers.push(follower);
+        state.followers.push(make_follower());
         self.coalesced.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -203,10 +205,10 @@ impl Flight {
                 chunks: follower.stream.then_some(follower.emitted),
                 stats: stats.clone(),
             };
-            let _ = follower.reply.send(StreamEvent::Done(response));
             if follower.pool_admitted {
                 counters.job_finished();
             }
+            follower.reply.send(StreamEvent::Done(response));
         }
     }
 }
@@ -271,7 +273,7 @@ pub(crate) struct Follower {
     reply: ReplySender,
     /// Whether the job was counted on the pool's in-flight gauge (a
     /// worker-level join); the flight decrements it at delivery.  Joins at
-    /// the submission sites never touch the gauge.
+    /// submission never touch the gauge.
     pool_admitted: bool,
     /// Buffer entries consumed so far.
     pos: usize,
@@ -286,22 +288,17 @@ pub(crate) struct Follower {
 }
 
 impl Follower {
-    pub(crate) fn new(
-        seq: u64,
-        client_id: Option<String>,
-        stream: bool,
-        cancel: CancelToken,
-        max_items: Option<u64>,
-        reply: ReplySender,
-        pool_admitted: bool,
-    ) -> Follower {
+    /// A follower standing in for `job`.  `pool_admitted` says whether the
+    /// job was already counted on the in-flight gauge (a worker-level join)
+    /// or joins before reaching the pool.
+    pub(crate) fn from_job(job: &PoolJob, pool_admitted: bool) -> Follower {
         Follower {
-            seq,
-            client_id,
-            stream,
-            cancel,
-            max_items,
-            reply,
+            seq: job.seq,
+            client_id: job.client_id.clone(),
+            stream: job.stream,
+            cancel: job.cancel.clone(),
+            max_items: job.max_items,
+            reply: job.reply.clone(),
             pool_admitted,
             pos: 0,
             emitted: 0,
@@ -309,20 +306,6 @@ impl Follower {
             receiver_gone: false,
             halt: None,
         }
-    }
-
-    /// A follower job built from the pool job it replaces (worker-level
-    /// joins; the gauge was already incremented at submission).
-    pub(crate) fn from_job(job: &PoolJob) -> Follower {
-        Follower::new(
-            job.seq,
-            job.client_id.clone(),
-            job.stream,
-            job.cancel.clone(),
-            job.max_items,
-            job.reply.clone(),
-            true,
-        )
     }
 
     /// The reason this follower can consume no further, if any — the same
@@ -351,7 +334,7 @@ impl Follower {
             kind,
             payload,
         };
-        if self.reply.send(StreamEvent::Chunk(frame)).is_ok() {
+        if self.reply.send(StreamEvent::Chunk(frame)) {
             self.emitted += 1;
         } else {
             self.receiver_gone = true;
@@ -456,7 +439,7 @@ impl<'a> FlightSink<'a> {
             kind: self.kind,
             payload,
         };
-        if self.job.reply.send(StreamEvent::Chunk(frame)).is_ok() {
+        if self.job.reply.send(StreamEvent::Chunk(frame)) {
             self.emitted += 1;
         } else {
             self.receiver_gone = true;

@@ -13,9 +13,10 @@
 //! Backpressure is explicit at every boundary:
 //!
 //! * **input** — a session whose job submission would block (shared queue
-//!   full) or whose reorder buffer is at capacity stops consuming buffered
-//!   lines and drops its read interest; level-triggered epoll re-reports the
-//!   socket once the session retries.
+//!   full: the refused job waits in the session's backlog) or whose reorder
+//!   buffer is at capacity stops consuming buffered lines and drops its read
+//!   interest; level-triggered epoll re-reports the socket once the session
+//!   retries.
 //! * **output** — response and chunk bytes accumulate in a per-session write
 //!   buffer that drains opportunistically (one `write` syscall flushes every
 //!   frame that is ready: chunk coalescing under slow consumers).  A session
@@ -25,8 +26,9 @@
 //!   indistinguishable from one that is gone.
 //!
 //! On platforms without epoll (`Epoll::new()` returns `Unsupported`) the
-//! transports fall back to the thread-per-session loop, so the portable
-//! behaviour is unchanged.
+//! transports fall back to the thread-per-session accept loop, whose
+//! sessions run the same `SessionMux` through `Engine::serve_with`, so the
+//! portable behaviour is unchanged.
 
 use crate::engine::{Engine, MuxFeed, ReplySender, ServeOptions, SessionMux};
 use crate::lock_ignoring_poison;
@@ -158,7 +160,8 @@ struct Conn<S> {
     out_pos: usize,
     /// The interest set currently registered with epoll.
     interest: Interest,
-    /// A buffered line could not be fed (job queue or reorder buffer full).
+    /// A buffered line could not be fed, or refused jobs still wait in the
+    /// session's backlog (job queue or reorder buffer full).
     stalled: bool,
     /// No more input will be read (EOF, peer hangup, or server drain).
     read_closed: bool,
@@ -229,13 +232,16 @@ impl<S: ReadyStream> Conn<S> {
         }
     }
 
-    /// Feeds every complete buffered line to the session state machine,
-    /// stopping (without consuming) at a stall.
+    /// Retries the session's backlog of refused jobs, then feeds every
+    /// complete buffered line to the session state machine, stopping
+    /// (without consuming) at a stall.  A backlog left afterwards counts as
+    /// a stall, so the loop retries it promptly — including a job the full
+    /// queue refused while its (consumed) line was being fed.
     fn process_lines(&mut self) {
         if self.failed {
             return;
         }
-        self.stalled = false;
+        self.stalled = !self.mux.pump();
         let mut start = 0usize;
         while let Some(offset) = self.read_buf[start..].iter().position(|&b| b == b'\n') {
             let end = start + offset;
@@ -249,21 +255,16 @@ impl<S: ReadyStream> Conn<S> {
                 self.fail();
                 break;
             };
-            match self.mux.feed_line(text, &mut self.out) {
-                MuxFeed::Progress => start = end + 1,
-                MuxFeed::Stalled => {
-                    self.stalled = true;
-                    break;
-                }
-                MuxFeed::PoolClosed => {
-                    self.fail();
-                    break;
-                }
+            if self.mux.feed_line(text, &mut self.out) == MuxFeed::Stalled {
+                self.stalled = true;
+                break;
             }
+            start = end + 1;
         }
         if start > 0 {
             self.read_buf.drain(..start);
         }
+        self.stalled |= !self.mux.pump();
     }
 
     /// Writes as much buffered output as the socket accepts right now.
@@ -446,9 +447,9 @@ fn service_token<S: ReadyStream>(
     }
     if close {
         let conn = sessions.remove(&token).expect("present above");
-        let (requests, errors) = conn.mux.tallies();
-        totals.requests += requests;
-        totals.errors += errors;
+        let summary = conn.mux.summary();
+        totals.requests += summary.requests;
+        totals.errors += summary.errors;
         let _ = epoll.delete(conn.stream.as_raw_fd());
     }
 }
@@ -492,8 +493,14 @@ fn accept_burst<L: ReadyListener>(
         *next_token += 1;
         let (reply_tx, reply_rx) = mpsc::channel::<StreamEvent>();
         let wake = Arc::clone(waker);
-        let reply = ReplySender::notifying(reply_tx, Arc::new(move || wake.wake(token)));
-        let mux = engine.session_mux(options, reply);
+        let reply = ReplySender::new(move |event| {
+            let delivered = reply_tx.send(event).is_ok();
+            if delivered {
+                wake.wake(token);
+            }
+            delivered
+        });
+        let mux = engine.session_mux(options, reply, false);
         if epoll
             .add(stream.as_raw_fd(), token, Interest::READ)
             .is_err()
@@ -520,4 +527,101 @@ fn accept_burst<L: ReadyListener>(
         totals.connections += 1;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::{Engine, EngineConfig, ServeOptions};
+    use crate::policy::{SolverKind, SolverPolicy};
+    use crate::transport::SocketServer;
+    use qld_hypergraph::Hypergraph;
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// Holds every duality decision until opened (10 s at most).
+    struct Gate {
+        entered: AtomicU64,
+        open: AtomicBool,
+    }
+
+    impl SolverPolicy for Gate {
+        fn choose(&self, _g: &Hypergraph, _h: &Hypergraph) -> SolverKind {
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.open.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            SolverKind::BmTree
+        }
+
+        fn name(&self) -> &'static str {
+            "gate"
+        }
+    }
+
+    fn read_line(reader: &mut BufReader<UnixStream>) -> String {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    }
+
+    #[test]
+    fn a_job_refused_by_the_full_queue_is_retried() {
+        let path = std::env::temp_dir().join(format!("qld-backlog-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let gate = Arc::new(Gate {
+            entered: AtomicU64::new(0),
+            open: AtomicBool::new(false),
+        });
+        let engine = Arc::new(Engine::new(EngineConfig {
+            workers: 1,
+            queue_capacity: 1,
+            cache: false,
+            policy: Arc::clone(&gate) as Arc<dyn SolverPolicy>,
+            ..EngineConfig::default()
+        }));
+        let server = SocketServer::bind(&path).unwrap();
+        let shutdown = server.shutdown_handle();
+        let runner = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || server.run(&engine, ServeOptions::default()))
+        };
+        let check = "check 0,1;2,3 0,2;0,3;1,2;1,3\n";
+
+        // Session A: one check holds the only worker, a second fills the
+        // one-slot queue.  A cancel is answered by the session itself, so its
+        // reply proves the line before it was submitted.
+        let mut a = UnixStream::connect(&path).unwrap();
+        a.write_all(check.as_bytes()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gate.entered.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the worker never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        a.write_all(format!("{check}cancel id=99\n").as_bytes())
+            .unwrap();
+        let mut a_reader = BufReader::new(a.try_clone().unwrap());
+        assert!(read_line(&mut a_reader).contains("\"kind\":\"cancel\""));
+
+        // Session B: its `stats` meets the full queue and waits in the
+        // session's backlog; nothing else of B's is in flight to wake it.
+        let mut b = UnixStream::connect(&path).unwrap();
+        b.write_all(b"stats\ncancel id=99\n").unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut b_reader = BufReader::new(b.try_clone().unwrap());
+        assert!(read_line(&mut b_reader).contains("\"kind\":\"cancel\""));
+
+        gate.open.store(true, Ordering::SeqCst);
+        let stats = read_line(&mut b_reader);
+        assert!(stats.contains("\"kind\":\"stats\""), "{stats:?}");
+        for _ in 0..2 {
+            assert!(read_line(&mut a_reader).contains("\"dual\":true"));
+        }
+        shutdown.shutdown();
+        runner.join().unwrap().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -20,8 +20,10 @@
 //! sessions are non-blocking state machines, so thousands of idle
 //! connections cost no threads and a slow reader never pins a worker behind
 //! a blocking write.  Where epoll is unavailable the same calls fall back to
-//! the original thread-per-session accept loop ([`run_session_loop`]), which
-//! also remains the engine-independent path behind `run_with` for front ends
+//! a thread-per-session accept loop ([`run_session_loop`]) that hands each
+//! connection to [`Engine::serve_with`]'s blocking driver.  Both paths run
+//! the same session state machine (`SessionMux`).  The accept loop also
+//! remains the engine-independent path behind `run_with` for front ends
 //! like the fleet router.
 
 use crate::engine::{Engine, ServeOptions, ServeSummary};
@@ -460,76 +462,22 @@ impl TcpServer {
 }
 
 /// One connection's session: line-buffered reads from the stream, writes back
-/// onto it, then a write-side shutdown so the client sees EOF.  Sessions that
-/// die on an I/O error still report the responses that made it onto the wire
-/// (counted by [`CountingWriter`]).
+/// onto it, then a write-side shutdown so the client sees EOF.  A session
+/// that dies on an I/O error still reports the requests it answered: the
+/// driver returns its session's tallies on every exit path.
 fn serve_connection<S: SessionStream>(
     engine: &Engine,
     stream: S,
     options: &ServeOptions,
 ) -> ServeSummary {
     let _connection = engine.track_connection();
-    let reader = match stream.try_clone_stream() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return ServeSummary::default(),
+    let Ok(reader) = stream.try_clone_stream() else {
+        return ServeSummary::default();
     };
-    let mut writer = CountingWriter::new(stream);
-    let result = engine.serve_with(reader, &mut writer, options);
-    let _ = writer.inner.shutdown_side(Shutdown::Write);
-    match result {
-        Ok(summary) => summary,
-        Err(_) => writer.summary(),
-    }
-}
-
-/// Counts the complete response lines (and error responses among them)
-/// actually written to a client, as a fallback tally for sessions whose
-/// `serve_with` call ends in an I/O error.
-struct CountingWriter<W> {
-    inner: W,
-    line: Vec<u8>,
-    summary: ServeSummary,
-}
-
-impl<W> CountingWriter<W> {
-    fn new(inner: W) -> Self {
-        CountingWriter {
-            inner,
-            line: Vec::new(),
-            summary: ServeSummary::default(),
-        }
-    }
-
-    fn summary(&self) -> ServeSummary {
-        self.summary
-    }
-}
-
-impl<W: Write> Write for CountingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let contains = |line: &[u8], needle: &[u8]| line.windows(needle.len()).any(|w| w == needle);
-        let written = self.inner.write(buf)?;
-        for &byte in &buf[..written] {
-            if byte == b'\n' {
-                // Chunk frames are pieces of one in-flight request, not
-                // answered requests: only terminal lines are tallied.
-                if !contains(&self.line, b"\"frame\":\"chunk\"") {
-                    self.summary.requests += 1;
-                    if contains(&self.line, b"\"ok\":false") {
-                        self.summary.errors += 1;
-                    }
-                }
-                self.line.clear();
-            } else {
-                self.line.push(byte);
-            }
-        }
-        Ok(written)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
+    let mut writer = stream;
+    let (summary, _error) = engine.drive_session(BufReader::new(reader), &mut writer, options);
+    let _ = writer.shutdown_side(Shutdown::Write);
+    summary
 }
 
 #[cfg(test)]
@@ -794,52 +742,81 @@ mod tests {
         assert_eq!(summary.panicked, 1, "the session panic must be surfaced");
     }
 
+    /// A session stream that yields `input`, then fails every further read
+    /// with a connection reset; writes land in `written`.
+    struct ScriptedStream {
+        input: &'static [u8],
+        sent: Arc<AtomicBool>,
+        written: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Read for ScriptedStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.sent.swap(true, Ordering::SeqCst) {
+                return Err(std::io::Error::other("peer reset"));
+            }
+            buf[..self.input.len()].copy_from_slice(self.input);
+            Ok(self.input.len())
+        }
+    }
+
+    impl Write for ScriptedStream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            lock_ignoring_poison(&self.written).extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SessionStream for ScriptedStream {
+        fn try_clone_stream(&self) -> std::io::Result<Self> {
+            Ok(ScriptedStream {
+                input: self.input,
+                sent: Arc::clone(&self.sent),
+                written: Arc::clone(&self.written),
+            })
+        }
+        fn shutdown_side(&self, _how: Shutdown) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves one scripted connection; returns its tally and what it wrote.
+    fn serve_scripted(input: &'static [u8]) -> (ServeSummary, String) {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let stream = ScriptedStream {
+            input,
+            sent: Arc::new(AtomicBool::new(false)),
+            written: Arc::clone(&written),
+        };
+        let summary = serve_connection(&engine, stream, &ServeOptions::default());
+        let text = String::from_utf8(lock_ignoring_poison(&written).clone()).unwrap();
+        (summary, text)
+    }
+
     #[test]
-    fn counting_writer_tallies_complete_lines_only() {
-        let mut w = CountingWriter::new(Vec::new());
-        w.write_all(b"{\"id\":0,\"ok\":true}\n").unwrap();
-        w.write_all(b"{\"id\":1,\"ok\":false,\"code\":\"parse\"}\n")
-            .unwrap();
-        w.write_all(b"{\"id\":2,\"ok\":true").unwrap(); // incomplete line
-        let summary = w.summary();
+    fn session_tallies_count_terminal_responses_only() {
+        // A streamed enumerate writes chunk frames before its `done` frame;
+        // only the terminal counts as an answered request.
+        let (summary, text) = serve_scripted(b"enumerate 0,1;2,3 stream=1\nfrobnicate\n");
+        assert!(text.matches("\"frame\":\"chunk\"").count() >= 1, "{text}");
         assert_eq!(summary.requests, 2);
         assert_eq!(summary.errors, 1);
     }
 
     #[test]
     fn errored_sessions_still_count_answered_requests() {
-        // Fabricate the error path directly: a session whose read side fails
-        // after one good request.  `serve_connection` is private, so exercise
-        // the fallback through `CountingWriter` + `serve_with` the way it
-        // does.
-        struct FailAfterFirstLine {
-            line: &'static [u8],
-            sent: bool,
-        }
-        impl std::io::Read for FailAfterFirstLine {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.sent {
-                    return Err(std::io::Error::other("peer reset"));
-                }
-                self.sent = true;
-                buf[..self.line.len()].copy_from_slice(self.line);
-                Ok(self.line.len())
-            }
-        }
-        let engine = Engine::new(EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        });
-        let mut writer = CountingWriter::new(Vec::new());
-        let reader = BufReader::new(FailAfterFirstLine {
-            line: b"check 0,1 0;1\nfrobnicate\n",
-            sent: false,
-        });
-        let result = engine.serve_with(reader, &mut writer, &ServeOptions::default());
-        assert!(result.is_err());
-        // Both responses were written before the read error surfaced, and the
-        // fallback tally sees them.
-        assert_eq!(writer.summary().requests, 2);
-        assert_eq!(writer.summary().errors, 1);
+        // The read side fails after one good request and one malformed one:
+        // the session ends in an I/O error, yet both answers are counted.
+        let (summary, text) = serve_scripted(b"check 0,1 0;1\nfrobnicate\n");
+        assert_eq!(text.lines().count(), 2, "{text}");
+        assert_eq!(summary.requests, 2);
+        assert_eq!(summary.errors, 1);
     }
 }
