@@ -1,4 +1,5 @@
-//! The engine's result cache: bounded LRU with optional TTL expiry.
+//! The engine's result cache: bounded LRU with optional TTL expiry, and the
+//! one record of whether a key is finished, in flight or absent.
 //!
 //! Keys are the canonical request encodings of [`crate::request::Request::cache_key`],
 //! so syntactically different but semantically identical requests share one
@@ -17,7 +18,18 @@
 //! outcomes — hit, miss, eviction, expiration — are counted and exposed via
 //! [`CacheStats`] (also available on the wire through the `stats` request,
 //! see `docs/WIRE.md`).
+//!
+//! **Pending flights.**  Executions still running are kept in a second map
+//! under the same mutex (see `engine/src/flight.rs`).  The engine's worker asks
+//! one question per job — `lookup`: a finished entry (hit), a running
+//! flight to join, or nothing (it leads a new flight) — and submission
+//! asks `join` so duplicates attach before they take a pool slot.  A flight
+//! settles by leaving the pending map and, if it ran to its natural end,
+//! entering the LRU map in the same critical section.  Pending keys are
+//! invisible to [`QueryCache::get`], [`QueryCache::stats`], eviction and
+//! snapshots, and a capacity-0 cache still coalesces.
 
+use crate::flight::{Consumer, Flight, FlightLease};
 use crate::lock_ignoring_poison;
 use crate::ops::ExecInfo;
 use crate::response::{EngineError, Outcome};
@@ -79,6 +91,9 @@ struct Inner {
     recency: BTreeMap<u64, Arc<str>>,
     /// The generation clock; strictly increases on every touch.
     tick: u64,
+    /// Executions in flight, by key.  A natural end moves its key from here
+    /// into `map`.
+    flights: HashMap<Arc<str>, Arc<Flight>>,
 }
 
 /// A shared, thread-safe LRU map from canonical request keys to finished
@@ -98,6 +113,24 @@ pub struct QueryCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     expirations: AtomicU64,
+    /// Whether misses register joinable flights (`EngineConfig::coalesce`).
+    coalesce: bool,
+    /// Flights led (registered for joins) since construction.
+    led: AtomicU64,
+    /// Followers attached to a running flight since construction.
+    coalesced: AtomicU64,
+}
+
+/// What [`QueryCache::lookup`] found for a worker's key.
+pub(crate) enum Lookup {
+    /// A finished result, and the consumer to replay it through.
+    Hit(Arc<CachedResult>, Consumer),
+    /// Nothing finished or joinable: the caller executes through this
+    /// lease, which installs a natural end when it settles.
+    Lead(FlightLease),
+    /// The consumer attached to the key's running flight, which delivers
+    /// its terminal.
+    Joined,
 }
 
 impl Default for QueryCache {
@@ -128,7 +161,30 @@ impl QueryCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             expirations: AtomicU64::new(0),
+            coalesce: true,
+            led: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
         }
+    }
+
+    /// Turns flight registration on or off (on by default).  Off, every
+    /// miss leads a private flight nobody can join.
+    pub(crate) fn coalescing(mut self, on: bool) -> Self {
+        self.coalesce = on;
+        self
+    }
+
+    /// Whether misses register joinable flights.
+    pub(crate) fn coalesces(&self) -> bool {
+        self.coalesce
+    }
+
+    /// Single-flight counters: `(flights_led, coalesced)`.
+    pub(crate) fn coalesce_stats(&self) -> (u64, u64) {
+        (
+            self.led.load(Ordering::Relaxed),
+            self.coalesced.load(Ordering::Relaxed),
+        )
     }
 
     /// Whether `entry` has outlived the configured TTL.
@@ -140,7 +196,11 @@ impl QueryCache {
     /// the entry's recency; an expired entry is removed and counts as a miss.
     /// The returned handle shares the stored result (no deep copy per hit).
     pub fn get(&self, key: &str) -> Option<Arc<CachedResult>> {
-        let mut inner = lock_ignoring_poison(&self.inner);
+        self.get_locked(&mut lock_ignoring_poison(&self.inner), key)
+    }
+
+    /// [`QueryCache::get`] under the caller's lock.
+    fn get_locked(&self, inner: &mut Inner, key: &str) -> Option<Arc<CachedResult>> {
         let Some(entry) = inner.map.get(key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -168,6 +228,72 @@ impl QueryCache {
         Some(result)
     }
 
+    /// The worker's one question about a key: a finished result (counted as
+    /// a hit), else the key's running flight to join, else a new flight for
+    /// `consumer` to lead (both counted as misses).  With coalescing off the
+    /// new flight is private and a natural end is still installed.
+    pub(crate) fn lookup(self: &Arc<Self>, key: &str, consumer: Consumer) -> Lookup {
+        let mut inner = lock_ignoring_poison(&self.inner);
+        if let Some(hit) = self.get_locked(&mut inner, key) {
+            return Lookup::Hit(hit, consumer);
+        }
+        let consumer = match inner.flights.get(key) {
+            Some(flight) => match flight.attach(consumer) {
+                Ok(()) => {
+                    self.coalesced.fetch_add(1, Ordering::Relaxed);
+                    return Lookup::Joined;
+                }
+                Err(consumer) => consumer,
+            },
+            None => consumer,
+        };
+        let key: Arc<str> = key.into();
+        let flight = Flight::new(consumer, self.coalesce);
+        if self.coalesce {
+            // A flight that stopped early may still be registered while its
+            // leader settles; it is replaced, and its lease removes by
+            // identity.
+            inner.flights.insert(Arc::clone(&key), Arc::clone(&flight));
+            self.led.fetch_add(1, Ordering::Relaxed);
+        }
+        Lookup::Lead(FlightLease::new(Some((Arc::clone(self), key)), flight))
+    }
+
+    /// Attaches a duplicate to the key's running flight at submission
+    /// (`consumer` is only built on a join); `false` means the caller must
+    /// submit the request itself.
+    pub(crate) fn join(&self, key: &str, consumer: impl FnOnce() -> Consumer) -> bool {
+        if !self.coalesce {
+            return false;
+        }
+        let inner = lock_ignoring_poison(&self.inner);
+        let joined = inner
+            .flights
+            .get(key)
+            .is_some_and(|flight| flight.attach(consumer()).is_ok());
+        if joined {
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+        }
+        joined
+    }
+
+    /// Retires `flight` from the pending map (if it is still the key's) and
+    /// installs `result` — one critical section, so a lookup finds either
+    /// the flight or the finished entry, never neither.
+    pub(crate) fn settle(&self, key: Arc<str>, flight: &Arc<Flight>, result: Option<CachedResult>) {
+        let mut inner = lock_ignoring_poison(&self.inner);
+        if inner
+            .flights
+            .get(&key)
+            .is_some_and(|pending| Arc::ptr_eq(pending, flight))
+        {
+            inner.flights.remove(&key);
+        }
+        if let Some(result) = result {
+            self.insert_locked(&mut inner, key, Arc::new(result), Instant::now());
+        }
+    }
+
     /// Stores a finished result under its canonical key, evicting the
     /// least-recently-used entry if the cache is full.  Re-inserting an
     /// existing key refreshes both its value and its recency.
@@ -178,18 +304,33 @@ impl QueryCache {
     /// [`QueryCache::insert`] with an explicit storage instant, so snapshot
     /// restoration can backdate entries and keep their TTL clocks running.
     fn insert_stored_at(&self, key: String, result: Arc<CachedResult>, stored_at: Instant) {
+        self.insert_locked(
+            &mut lock_ignoring_poison(&self.inner),
+            key,
+            result,
+            stored_at,
+        );
+    }
+
+    /// [`QueryCache::insert`] under the caller's lock.
+    fn insert_locked<K: AsRef<str> + Into<Arc<str>>>(
+        &self,
+        inner: &mut Inner,
+        key: K,
+        result: Arc<CachedResult>,
+        stored_at: Instant,
+    ) {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = lock_ignoring_poison(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some((shared_key, existing)) = inner.map.get_key_value(key.as_str()) {
+        if let Some((shared_key, existing)) = inner.map.get_key_value(key.as_ref()) {
             let shared_key = Arc::clone(shared_key);
             let old_tick = existing.tick;
             let existing = inner
                 .map
-                .get_mut(key.as_str())
+                .get_mut(key.as_ref())
                 .expect("entry checked above");
             existing.result = result;
             existing.tick = tick;
@@ -331,7 +472,10 @@ pub struct SnapshotEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::response::Outcome;
+    use crate::engine::{Payload, PoolJob, ReplySender};
+    use crate::response::{ErrorCode, Outcome, RequestStats};
+    use crate::stream::{CancelToken, StopReason, StreamEvent};
+    use std::sync::mpsc::{channel, Sender};
 
     fn entry() -> CachedResult {
         CachedResult {
@@ -504,6 +648,115 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         assert!(cache.get("half").is_none(), "TTL survived the round trip");
         assert!(cache.get("fresh").is_some(), "importing preserves each age");
+    }
+
+    /// A one-shot consumer whose terminal arrives on `tx`.
+    fn consumer(tx: &Sender<StreamEvent>) -> Consumer {
+        let job = PoolJob {
+            seq: 0,
+            client_id: None,
+            payload: Payload::Stats,
+            stream: false,
+            cancel: CancelToken::new(),
+            max_items: None,
+            reply: ReplySender::channel(tx.clone()),
+            key: None,
+        };
+        Consumer::new(&job, "check")
+    }
+
+    /// Looks `key` up, expecting to lead its flight.
+    fn lead(cache: &Arc<QueryCache>, key: &str, tx: &Sender<StreamEvent>) -> FlightLease {
+        match cache.lookup(key, consumer(tx)) {
+            Lookup::Lead(lease) => lease,
+            Lookup::Hit(..) => panic!("{key}: expected to lead, got a hit"),
+            Lookup::Joined => panic!("{key}: expected to lead, joined"),
+        }
+    }
+
+    fn joins(cache: &Arc<QueryCache>, key: &str, tx: &Sender<StreamEvent>) -> bool {
+        matches!(cache.lookup(key, consumer(tx)), Lookup::Joined)
+    }
+
+    fn settle(lease: FlightLease, halted: Option<StopReason>) {
+        let stats = RequestStats::default();
+        lease.finish(entry().outcome, halted, ExecInfo::default(), stats);
+    }
+
+    #[test]
+    fn pending_key_is_invisible_to_get_stats_and_export() {
+        let (tx, _rx) = channel();
+        let cache = Arc::new(QueryCache::with_capacity(8));
+        let lease = lead(&cache, "k", &tx);
+        assert!(cache.get("k").is_none());
+        assert_eq!(cache.stats().entries, 0);
+        assert!(cache.export_entries().is_empty());
+        drop(lease);
+    }
+
+    #[test]
+    fn capacity_one_never_evicts_a_pending_key() {
+        let (tx, _rx) = channel();
+        let cache = Arc::new(QueryCache::with_capacity(1));
+        let lease = lead(&cache, "p", &tx);
+        cache.insert("a".into(), entry());
+        cache.insert("b".into(), entry());
+        assert_eq!(cache.stats().evictions, 1, "only `a` was displaced");
+        assert!(joins(&cache, "p", &tx), "the pending key survived");
+        settle(lease, None);
+        assert!(cache.get("p").is_some());
+    }
+
+    #[test]
+    fn capacity_zero_still_coalesces() {
+        let (tx, rx) = channel();
+        let cache = Arc::new(QueryCache::with_capacity(0));
+        let lease = lead(&cache, "k", &tx);
+        assert!(joins(&cache, "k", &tx));
+        assert_eq!(cache.coalesce_stats(), (1, 1));
+        settle(lease, None);
+        let Ok(StreamEvent::Done(follower)) = rx.try_recv() else {
+            panic!("the follower was not answered");
+        };
+        assert_eq!(follower.outcome, entry().outcome);
+        assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn settled_natural_end_makes_the_next_lookup_a_hit() {
+        let (tx, _rx) = channel();
+        let cache = Arc::new(QueryCache::with_capacity(8));
+        settle(lead(&cache, "k", &tx), None);
+        assert!(matches!(cache.lookup("k", consumer(&tx)), Lookup::Hit(..)));
+        assert_eq!(cache.coalesce_stats(), (1, 0));
+    }
+
+    #[test]
+    fn halted_settle_leaves_no_entry_and_the_next_lookup_leads() {
+        let (tx, _rx) = channel();
+        let cache = Arc::new(QueryCache::with_capacity(8));
+        settle(lead(&cache, "k", &tx), Some(StopReason::Cancelled));
+        assert_eq!(cache.stats().entries, 0);
+        drop(lead(&cache, "k", &tx));
+        assert_eq!(cache.coalesce_stats(), (2, 0));
+    }
+
+    #[test]
+    fn dropped_lease_fails_followers_and_frees_the_key() {
+        let (tx, rx) = channel();
+        let cache = Arc::new(QueryCache::with_capacity(8));
+        let lease = lead(&cache, "k", &tx);
+        assert!(joins(&cache, "k", &tx));
+        drop(lease);
+        let Ok(StreamEvent::Done(follower)) = rx.try_recv() else {
+            panic!("the follower was not answered");
+        };
+        assert_eq!(
+            follower.outcome.map_err(|e| e.code),
+            Err(ErrorCode::Internal)
+        );
+        assert_eq!(cache.stats().entries, 0);
+        drop(lead(&cache, "k", &tx));
     }
 
     #[test]

@@ -17,19 +17,16 @@
 //! through a bounded buffer, `arrival` order streams each response the moment
 //! it completes so one slow request never head-of-line-blocks the rest.
 
-use crate::cache::{CacheStats, CachedResult, QueryCache};
+use crate::cache::{CacheStats, Lookup, QueryCache};
 use crate::fairness::UserBuckets;
-use crate::flight::{FlightSink, FlightTable, Follower, LeadOutcome};
+use crate::flight::{Consumer, FlightLease};
 use crate::ops;
 use crate::policy::{
     exec_route, ExecRoute, FixedPolicy, SizeThresholdPolicy, SolverKind, SolverPolicy,
 };
 use crate::request::Request;
 use crate::response::{EngineError, Outcome, RequestStats, Response};
-use crate::stream::{
-    CancelToken, ChunkFrame, ChunkPayload, ResultSink, SinkDirective, StopReason, StreamEvent,
-    StreamItem, StreamProgress,
-};
+use crate::stream::{CancelToken, ChunkFrame, StopReason, StreamEvent};
 use crate::subtask::{EnginePool, SubtaskQueue};
 use crate::wire::{self, OrderMode};
 use qld_core::ParallelContext;
@@ -83,9 +80,9 @@ pub struct EngineConfig {
     /// Single-flight request coalescing (`qld serve --no-coalesce` clears
     /// it): identical queries arriving while the first is still executing
     /// attach to that execution as followers instead of running the solver
-    /// again (see `engine/src/flight.rs`).  Requires the cache (the flight key
-    /// *is* the canonical cache key); with `cache: false` every request
-    /// executes individually regardless of this flag.
+    /// again (see `engine/src/flight.rs`).  Requires the cache (flights live
+    /// in it, keyed on the canonical cache key); with `cache: false` every
+    /// request executes individually regardless of this flag.
     pub coalesce: bool,
 }
 
@@ -232,8 +229,8 @@ pub(crate) enum Payload {
 }
 
 /// One unit of work travelling through the shared pool.  Fields are
-/// `pub(crate)` for the single-flight layer ([`crate::flight`]), which turns
-/// a job into a flight follower without re-deriving its identity.
+/// `pub(crate)` for [`crate::flight::Consumer`], which takes a job's
+/// identity and reply path without re-deriving them.
 pub(crate) struct PoolJob {
     /// Sequence number within the submitting session.
     pub(crate) seq: u64,
@@ -251,9 +248,9 @@ pub(crate) struct PoolJob {
     /// Where the executing worker sends chunk frames and the terminal
     /// response.
     pub(crate) reply: ReplySender,
-    /// The canonical flight/cache key, pre-rendered at submission when
-    /// coalescing applies (`None` for control payloads or when coalescing is
-    /// off — the worker then renders the cache key itself).
+    /// The canonical cache key, rendered once at submission
+    /// ([`PoolLink::cache_key`]); `None` for control payloads or with the
+    /// cache off.
     pub(crate) key: Option<String>,
 }
 
@@ -299,8 +296,8 @@ pub(crate) struct EngineCounters {
 
 impl EngineCounters {
     /// Settles one pool-admitted job on the in-flight gauge.  Workers call
-    /// it after sending a terminal response; the flight layer calls it when
-    /// delivering a worker-level follower's terminal instead.
+    /// it before sending a terminal response, or when the job attaches to a
+    /// running flight (a follower occupies no pool slot).
     pub(crate) fn job_finished(&self) {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
     }
@@ -322,8 +319,9 @@ impl Drop for ConnectionGuard {
 /// Read-only state shared with every worker thread.
 struct WorkerCtx {
     policy: Arc<dyn SolverPolicy>,
+    /// The result cache and flight registry (also reported by `stats` when
+    /// caching is off; jobs then carry no key and never consult it).
     cache: Arc<QueryCache>,
-    cache_enabled: bool,
     workers: usize,
     /// When the engine was constructed (`stats` uptime reporting).
     started: Instant,
@@ -335,10 +333,6 @@ struct WorkerCtx {
     subtasks: Arc<SubtaskQueue>,
     /// Work-unit floor above which a duality call splits into subtasks.
     parallel_threshold: usize,
-    /// The single-flight registry (shared with [`PoolLink::submit`]).
-    flights: Arc<FlightTable>,
-    /// Whether workers coalesce duplicate cache misses into flights.
-    coalesce: bool,
 }
 
 /// The submission side of the worker pool, shared by every session.
@@ -348,25 +342,45 @@ pub(crate) struct PoolLink {
     /// not just for subtasks.
     subtasks: Arc<SubtaskQueue>,
     counters: Arc<EngineCounters>,
-    /// The single-flight registry.
-    flights: Arc<FlightTable>,
-    /// Whether submissions render flight keys and attempt joins (coalescing
-    /// on, which requires the cache).
-    coalesce: bool,
+    /// The result cache and flight registry; `None` with the cache off.
+    cache: Option<Arc<QueryCache>>,
 }
 
 impl PoolLink {
+    /// The canonical cache key of a query payload — the request's cache key
+    /// plus the `solver=` override suffix (an override changes which
+    /// solver's telemetry the caller sees, so it gets its own entry).  The
+    /// one place a key is rendered; `None` for control payloads or with the
+    /// cache off.
+    fn cache_key(&self, payload: &Payload) -> Option<String> {
+        self.cache.as_ref()?;
+        let Payload::Query { request, solver } = payload else {
+            return None;
+        };
+        let mut key = request.cache_key();
+        if let Some(kind) = solver {
+            key.push_str(" solver=");
+            key.push_str(kind.name());
+        }
+        Some(key)
+    }
+
+    /// Whether identical requests share executions (cache and coalescing
+    /// on).
+    fn coalesces(&self) -> bool {
+        self.cache.as_ref().is_some_and(|cache| cache.coalesces())
+    }
+
     /// Hands one job to the engine; every job enters here.  A job whose
-    /// flight key matches an execution already in flight attaches to it as a
+    /// cache key matches an execution already in flight attaches to it as a
     /// follower and takes no pool slot.  Any other job joins the shared
     /// queue: when `blocking`, the call waits while the queue is full;
     /// otherwise a full queue hands the job back (`Some`) for a later retry.
     fn submit(&self, job: PoolJob, blocking: bool) -> Option<PoolJob> {
-        if let Some(key) = &job.key {
-            if self
-                .flights
-                .try_join(key, || Follower::from_job(&job, false))
-            {
+        if let (Some(cache), Some(key), Payload::Query { request, .. }) =
+            (&self.cache, &job.key, &job.payload)
+        {
+            if cache.join(key, || Consumer::new(&job, request.kind())) {
                 return None;
             }
         }
@@ -414,10 +428,12 @@ impl Engine {
     /// truncated, or version-mismatched snapshot restores nothing (see
     /// [`Engine::cache_restored`]) and the engine starts cold.
     pub fn new(config: EngineConfig) -> Self {
-        let cache = Arc::new(QueryCache::with_limits(
-            config.cache_capacity,
-            config.cache_ttl,
-        ));
+        // Coalescing is decided here, once: flights live in the cache, and
+        // with the cache off no key is ever rendered, so nothing can join.
+        let cache = Arc::new(
+            QueryCache::with_limits(config.cache_capacity, config.cache_ttl)
+                .coalescing(config.coalesce),
+        );
         let mut cache_restored = 0;
         let mut cache_restore_error = None;
         if config.cache {
@@ -442,19 +458,15 @@ impl Engine {
         let job_rx = Arc::new(Mutex::new(job_rx));
         let counters = Arc::new(EngineCounters::default());
         let subtasks = Arc::new(SubtaskQueue::new());
-        let flights = Arc::new(FlightTable::new(Arc::clone(&counters)));
         let ctx = Arc::new(WorkerCtx {
             policy: Arc::clone(&config.policy),
             cache: Arc::clone(&cache),
-            cache_enabled: config.cache,
             workers,
             started: Instant::now(),
             cache_restored: cache_restored > 0,
             counters: Arc::clone(&counters),
             subtasks: Arc::clone(&subtasks),
             parallel_threshold: config.parallel_threshold,
-            flights: Arc::clone(&flights),
-            coalesce: config.coalesce,
         });
         let handles = (0..workers)
             .map(|worker_index| {
@@ -467,8 +479,7 @@ impl Engine {
             job_tx,
             subtasks,
             counters,
-            flights,
-            coalesce: config.cache && config.coalesce,
+            cache: config.cache.then(|| Arc::clone(&cache)),
         });
         Engine {
             config,
@@ -509,8 +520,7 @@ impl Engine {
     /// coalescible cache miss); `coalesced` counts the duplicate requests
     /// that attached to one instead of executing — solver runs avoided.
     pub fn coalesce_stats(&self) -> (u64, u64) {
-        let flights = &self.pool().flights;
-        (flights.led(), flights.coalesced())
+        self.cache.coalesce_stats()
     }
 
     /// How many entries [`Engine::new`] restored from the configured cache
@@ -681,7 +691,7 @@ impl Engine {
         let job = PoolJob {
             seq: 0,
             client_id: options.client_id,
-            key: flight_key(&payload, pool.coalesce),
+            key: pool.cache_key(&payload),
             payload,
             stream: true,
             cancel: cancel.clone(),
@@ -862,27 +872,8 @@ fn drive<W: Write>(
     read_error.or_else(|| output.flush().err())
 }
 
-/// The canonical flight key of a query payload — the request's cache key
-/// plus the `solver=` override suffix, exactly as the worker's cache path
-/// renders it.  `None` for control payloads, or when coalescing is off for
-/// the engine (key rendering is not free; skip it when it buys nothing).
-fn flight_key(payload: &Payload, coalesce: bool) -> Option<String> {
-    if !coalesce {
-        return None;
-    }
-    let Payload::Query { request, solver } = payload else {
-        return None;
-    };
-    let mut key = request.cache_key();
-    if let Some(kind) = solver {
-        key.push_str(" solver=");
-        key.push_str(kind.name());
-    }
-    Some(key)
-}
-
 /// The 64-bit digest a session keeps per in-flight request instead of a
-/// second copy of its flight key.  A collision only makes a request wait
+/// second copy of its cache key.  A collision only makes a request wait
 /// for an unrelated one; it never changes an answer, so a cheap mix will do.
 /// Keys run to kilobytes, and this sits on every submission: four
 /// independent FxHash-style lanes over 8-byte words keep the multiply chain
@@ -1005,7 +996,7 @@ impl MuxOutput for Vec<Option<Response>> {
 struct InFlight {
     /// What a `cancel id=N` naming this request raises.
     cancel: CancelToken,
-    /// [`key_hash`] of its flight key, when it has one.
+    /// [`key_hash`] of its cache key, when duplicates park behind it.
     key_hash: Option<u64>,
 }
 
@@ -1027,12 +1018,12 @@ struct InFlight {
 /// job in a backlog that [`SessionMux::pump`] retries, and stalls new lines
 /// until the backlog drains.
 ///
-/// **Same-session duplicates.**  A request whose flight key matches one of
+/// **Same-session duplicates.**  A request whose cache key matches one of
 /// the session's own requests still in flight waits here, parked, until
 /// that request's terminal arrives.  It is then submitted, and the cache
 /// answers it.  A parked request takes no pool slot, but it counts toward
 /// `--max-inflight` and can be cancelled.  Requests from different sessions
-/// still coalesce through the flight table.
+/// still coalesce through the cache's pending flights.
 pub(crate) struct SessionMux {
     pool: Arc<PoolLink>,
     blocking: bool,
@@ -1057,7 +1048,7 @@ pub(crate) struct SessionMux {
     /// a request absent here is emitted the moment it is answered.
     positions: HashMap<u64, u64>,
     inflight: HashMap<u64, InFlight>,
-    /// Same-session duplicates parked per flight-key hash.  An entry exists
+    /// Same-session duplicates parked per cache-key hash.  An entry exists
     /// while a request with that hash is submitted.
     waiting: HashMap<u64, VecDeque<PoolJob>>,
     /// Admitted jobs the full pool queue refused (non-blocking mode only).
@@ -1139,8 +1130,12 @@ impl SessionMux {
                 return MuxFeed::Progress;
             }
         }
-        let key = flight_key(&payload, self.pool.coalesce);
-        let hash = key.as_deref().map(key_hash);
+        let key = self.pool.cache_key(&payload);
+        // Same-session duplicates park only where they could coalesce.
+        let hash = key
+            .as_deref()
+            .filter(|_| self.pool.coalesces())
+            .map(key_hash);
         let cancel = CancelToken::new();
         self.inflight.insert(
             seq,
@@ -1425,8 +1420,7 @@ fn worker_loop(ctx: &WorkerCtx, jobs: &Mutex<Receiver<PoolJob>>, worker_index: u
         match polled {
             Ok(job) => {
                 // `None` means the job attached to an identical in-flight
-                // execution as a follower: the flight delivers its terminal
-                // and settles the in-flight gauge.
+                // execution as a follower: the flight delivers its terminal.
                 if let Some(response) = answer(ctx, worker_index, &job) {
                     // Settle the gauge before the terminal leaves, so a
                     // session holding all its answers has nothing in flight.
@@ -1445,7 +1439,7 @@ fn worker_loop(ctx: &WorkerCtx, jobs: &Mutex<Receiver<PoolJob>>, worker_index: u
 /// Executes one job on a worker, turning panics into `internal` errors so a
 /// misbehaving request cannot take a pool thread down with it.  `None`
 /// means the job joined an in-flight duplicate as a follower — the flight
-/// owns its delivery, and the worker must not answer (or decrement) it.
+/// owns its delivery, and the worker must not answer it.
 fn answer(ctx: &WorkerCtx, worker_index: usize, job: &PoolJob) -> Option<Response> {
     let base_stats = || RequestStats {
         worker: worker_index,
@@ -1461,36 +1455,39 @@ fn answer(ctx: &WorkerCtx, worker_index: usize, job: &PoolJob) -> Option<Respons
             chunks: job.stream.then_some(0),
             stats: base_stats(),
         }),
-        Payload::Stats => Some(Response {
-            id: job.seq,
-            client_id: job.client_id.clone(),
-            outcome: Ok(Outcome::Stats {
-                cache: ctx.cache.stats(),
-                workers: ctx.workers,
-                protocol: wire::PROTOCOL_VERSION,
-                uptime_ms: ctx.started.elapsed().as_millis() as u64,
-                cache_restored: ctx.cache_restored,
-                // The probe is itself an in-flight job: subtract it so an
-                // otherwise idle engine reports 0.
-                inflight: ctx
-                    .counters
-                    .inflight
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(1),
-                sessions: ctx.counters.sessions.load(Ordering::Relaxed),
-                connections: ctx.counters.connections.load(Ordering::Relaxed),
-                throttled: ctx.counters.throttled.load(Ordering::Relaxed),
-                subtasks: ctx.subtasks.spawned(),
-                subtasks_stolen: ctx.subtasks.stolen(),
-                flights: ctx.flights.led(),
-                coalesced: ctx.flights.coalesced(),
-            }),
-            halted: None,
-            // Item-less kinds still honour the streamed framing contract:
-            // zero chunks, then this response as the `done` frame.
-            chunks: job.stream.then_some(0),
-            stats: base_stats(),
-        }),
+        Payload::Stats => {
+            let (flights, coalesced) = ctx.cache.coalesce_stats();
+            Some(Response {
+                id: job.seq,
+                client_id: job.client_id.clone(),
+                outcome: Ok(Outcome::Stats {
+                    cache: ctx.cache.stats(),
+                    workers: ctx.workers,
+                    protocol: wire::PROTOCOL_VERSION,
+                    uptime_ms: ctx.started.elapsed().as_millis() as u64,
+                    cache_restored: ctx.cache_restored,
+                    // The probe is itself an in-flight job: subtract it so an
+                    // otherwise idle engine reports 0.
+                    inflight: ctx
+                        .counters
+                        .inflight
+                        .load(Ordering::Relaxed)
+                        .saturating_sub(1),
+                    sessions: ctx.counters.sessions.load(Ordering::Relaxed),
+                    connections: ctx.counters.connections.load(Ordering::Relaxed),
+                    throttled: ctx.counters.throttled.load(Ordering::Relaxed),
+                    subtasks: ctx.subtasks.spawned(),
+                    subtasks_stolen: ctx.subtasks.stolen(),
+                    flights,
+                    coalesced,
+                }),
+                halted: None,
+                // Item-less kinds still honour the streamed framing contract:
+                // zero chunks, then this response as the `done` frame.
+                chunks: job.stream.then_some(0),
+                stats: base_stats(),
+            })
+        }
         Payload::Query { request, solver } => {
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 process_one(job, request, *solver, worker_index, ctx)
@@ -1519,81 +1516,10 @@ fn answer(ctx: &WorkerCtx, worker_index: usize, job: &PoolJob) -> Option<Respons
     }
 }
 
-/// The sink a worker threads through [`ops::execute_streaming`]: forwards
-/// items/progress as chunk frames when the job streams, counts items against
-/// the session's quota, and reports cancellation (explicit, or implied by a
-/// vanished frame consumer) at every yield boundary.
-struct WorkerSink<'a> {
-    job: &'a PoolJob,
-    kind: &'static str,
-    /// Chunk frames actually delivered (items + progress).
-    emitted: u64,
-    /// Result items yielded (delivered or not — the quota is about work).
-    items: u64,
-    /// The reply channel hung up mid-stream: treat as cancellation.
-    receiver_gone: bool,
-}
-
-impl<'a> WorkerSink<'a> {
-    fn new(job: &'a PoolJob, kind: &'static str) -> Self {
-        WorkerSink {
-            job,
-            kind,
-            emitted: 0,
-            items: 0,
-            receiver_gone: false,
-        }
-    }
-
-    fn directive(&self) -> SinkDirective {
-        if self.job.cancel.is_cancelled() || self.receiver_gone {
-            SinkDirective::Stop(StopReason::Cancelled)
-        } else if self.job.max_items.is_some_and(|quota| self.items >= quota) {
-            SinkDirective::Stop(StopReason::ItemQuota)
-        } else {
-            SinkDirective::Continue
-        }
-    }
-
-    fn send(&mut self, payload: ChunkPayload) {
-        if !self.job.stream || self.receiver_gone {
-            return;
-        }
-        let frame = ChunkFrame {
-            id: self.job.seq,
-            client_id: self.job.client_id.clone(),
-            seq: self.emitted,
-            kind: self.kind,
-            payload,
-        };
-        if self.job.reply.send(StreamEvent::Chunk(frame)) {
-            self.emitted += 1;
-        } else {
-            self.receiver_gone = true;
-        }
-    }
-}
-
-impl ResultSink for WorkerSink<'_> {
-    fn item(&mut self, item: StreamItem) -> SinkDirective {
-        self.items += 1;
-        self.send(ChunkPayload::Item(item));
-        self.directive()
-    }
-
-    fn progress(&mut self, progress: StreamProgress) {
-        self.send(ChunkPayload::Progress(progress));
-    }
-
-    fn check(&self) -> SinkDirective {
-        self.directive()
-    }
-}
-
-/// Executes one typed query on a worker: cache lookup (with chunk replay for
-/// streamed hits), single-flight gate, solver dispatch through a
-/// [`WorkerSink`] (solo) or [`FlightSink`] (flight leader), stats.  `None`
-/// means the job joined an active flight as a follower — the flight owns its
+/// Executes one typed query on a worker: one cache lookup (a hit replays
+/// the cached outcome, chunk by chunk for streamed requests), then the
+/// execution as its flight's leader, then the settle step.  `None` means
+/// the job joined a running flight as a follower — the flight owns its
 /// delivery and the worker moves on to the next job.
 fn process_one(
     job: &PoolJob,
@@ -1603,59 +1529,29 @@ fn process_one(
     ctx: &WorkerCtx,
 ) -> Option<Response> {
     let started = Instant::now();
-    // A `solver=` override changes which solver's telemetry the caller sees,
-    // so overridden requests get their own cache entries.  Submission sites
-    // pre-render the key when coalescing applies; rendered or not, it is the
-    // same canonical string.
-    let key = job.key.clone().or_else(|| {
-        ctx.cache_enabled.then(|| {
-            let mut key = request.cache_key();
-            if let Some(kind) = solver_override {
-                key.push_str(" solver=");
-                key.push_str(kind.name());
-            }
-            key
-        })
-    });
-    if let Some(key) = &key {
-        if let Some(hit) = ctx.cache.get(key) {
-            // A streamed request served from the cache still streams: the
-            // cached items are replayed as chunk frames (in the terminal
-            // result's canonical order), subject to the same cancellation
-            // and quota checks as a fresh run.
-            let mut sink = WorkerSink::new(job, request.kind());
-            let (outcome, halted) = replay_cached(&hit.outcome, &mut sink);
-            return Some(Response {
-                id: job.seq,
-                client_id: job.client_id.clone(),
-                outcome,
-                halted,
-                chunks: job.stream.then_some(sink.emitted),
-                stats: RequestStats {
+    let consumer = Consumer::new(job, request.kind());
+    let mut lease = match &job.key {
+        None => FlightLease::private(consumer),
+        Some(key) => match ctx.cache.lookup(key, consumer) {
+            Lookup::Hit(hit, mut consumer) => {
+                let (outcome, halted) = consumer.replay(&hit.outcome);
+                let stats = RequestStats {
                     micros: started.elapsed().as_micros(),
                     peak_bits: hit.info.peak_bits,
                     solver: hit.info.solver.clone(),
                     duality_calls: hit.info.duality_calls,
                     cache_hit: true,
                     worker,
-                },
-            });
-        }
-    }
-    // Post-miss single-flight gate: duplicates that raced past the
-    // submission-site join (or were submitted before the leader was) attach
-    // here instead of executing.
-    let lease = match (&key, ctx.coalesce) {
-        (Some(key), true) => {
-            match ctx
-                .flights
-                .lead_or_join(key, request.kind(), || Follower::from_job(job, true))
-            {
-                LeadOutcome::Lead(lease) => Some(lease),
-                LeadOutcome::Joined => return None,
+                };
+                return Some(consumer.response(outcome, halted, stats));
             }
-        }
-        _ => None,
+            Lookup::Joined => {
+                // A follower occupies no pool slot.
+                ctx.counters.job_finished();
+                return None;
+            }
+            Lookup::Lead(lease) => lease,
+        },
     };
     let fixed;
     let policy: &dyn SolverPolicy = match solver_override {
@@ -1676,15 +1572,7 @@ fn process_one(
         )),
         ctx.parallel_threshold,
     );
-    let mut solo_sink = WorkerSink::new(job, request.kind());
-    let mut flight_sink = lease
-        .as_ref()
-        .map(|lease| FlightSink::new(job, request.kind(), lease));
-    let sink: &mut dyn ResultSink = match flight_sink.as_mut() {
-        Some(sink) => sink,
-        None => &mut solo_sink,
-    };
-    let execution = ops::execute_streaming_with(request, policy, Some(&parallel), sink);
+    let execution = ops::execute_streaming_with(request, policy, Some(&parallel), &mut lease);
     let halted = execution.halt;
     let info = execution.info;
     let outcome = execution.outcome.map_err(|message| match halted {
@@ -1693,129 +1581,18 @@ fn process_one(
         Some(StopReason::Cancelled) => EngineError::cancelled(message),
         _ => EngineError::execute(message),
     });
-    // Only results that ran to their natural end are cacheable: a halted
-    // job's partial outcome depends on when the stop landed, which is not a
-    // property of the request.  A flight whose original leader detached but
-    // that ran to completion for its followers is a natural end.
-    if halted.is_none() {
-        if let Some(key) = key {
-            ctx.cache.insert(
-                key,
-                CachedResult {
-                    outcome: outcome.clone(),
-                    info: info.clone(),
-                },
-            );
-        }
-    }
     let stats = RequestStats {
         micros: started.elapsed().as_micros(),
         peak_bits: info.peak_bits,
-        solver: info.solver,
+        solver: info.solver.clone(),
         duality_calls: info.duality_calls,
         cache_hit: false,
         worker,
     };
-    let (outcome, halted, emitted) = match (lease, flight_sink) {
-        (Some(lease), Some(sink)) => {
-            // Settle the followers with the execution's results, then answer
-            // as the leader saw it (its own partial if it was promoted away).
-            let view = sink.leader_view(&outcome, halted);
-            lease.finish(&outcome, halted, &stats);
-            view
-        }
-        _ => (outcome, halted, solo_sink.emitted),
-    };
-    Some(Response {
-        id: job.seq,
-        client_id: job.client_id.clone(),
-        outcome,
-        halted,
-        chunks: job.stream.then_some(emitted),
-        stats,
-    })
-}
-
-/// Replays a cached outcome through a [`WorkerSink`] (a no-op for one-shot
-/// jobs and item-less outcomes), truncating the outcome if the sink stops
-/// the replay mid-way — a cancelled or quota-limited client sees the same
-/// prefix semantics whether the result was computed or replayed.
-///
-/// The outcome is borrowed from the `Arc`-shared cache entry: a replay
-/// clones only the prefix the client actually receives, never the stored
-/// vectors wholesale.
-fn replay_cached(
-    outcome: &Result<Outcome, EngineError>,
-    sink: &mut WorkerSink<'_>,
-) -> (Result<Outcome, EngineError>, Option<StopReason>) {
-    // The historical fast hit path: nothing to forward, nothing to count —
-    // hand the cached outcome straight back (one clone, into the response).
-    if !sink.job.stream && sink.job.max_items.is_none() && !sink.job.cancel.is_cancelled() {
-        return (outcome.clone(), None);
-    }
-    match outcome {
-        Ok(Outcome::Transversals {
-            transversals,
-            complete,
-        }) => {
-            let (replayed, halted) =
-                replay_items(transversals, sink, |t| StreamItem::Transversal(t.clone()));
-            let outcome = Ok(Outcome::Transversals {
-                transversals: transversals[..replayed].to_vec(),
-                complete: *complete && halted.is_none(),
-            });
-            (outcome, halted)
-        }
-        Ok(Outcome::FullBorders {
-            maximal_frequent,
-            minimal_infrequent,
-            identification_calls,
-            complete,
-        }) => {
-            let (replayed_max, mut halted) =
-                replay_items(maximal_frequent, sink, |s| StreamItem::BorderElement {
-                    maximal: true,
-                    itemset: s.clone(),
-                });
-            let replayed_min = if halted.is_none() {
-                let (replayed, stop) =
-                    replay_items(minimal_infrequent, sink, |s| StreamItem::BorderElement {
-                        maximal: false,
-                        itemset: s.clone(),
-                    });
-                halted = stop;
-                replayed
-            } else {
-                0
-            };
-            let outcome = Ok(Outcome::FullBorders {
-                maximal_frequent: maximal_frequent[..replayed_max].to_vec(),
-                minimal_infrequent: minimal_infrequent[..replayed_min].to_vec(),
-                identification_calls: *identification_calls,
-                complete: *complete && halted.is_none(),
-            });
-            (outcome, halted)
-        }
-        other => (other.clone(), None),
-    }
-}
-
-/// Replays one item list through the sink, returning how many items made it
-/// and whether (and why) the sink stopped the replay.
-fn replay_items<T>(
-    items: &[T],
-    sink: &mut WorkerSink<'_>,
-    to_item: impl Fn(&T) -> StreamItem,
-) -> (usize, Option<StopReason>) {
-    for (index, entry) in items.iter().enumerate() {
-        if let SinkDirective::Stop(reason) = sink.check() {
-            return (index, Some(reason));
-        }
-        if let SinkDirective::Stop(reason) = sink.item(to_item(entry)) {
-            return (index + 1, Some(reason));
-        }
-    }
-    (items.len(), None)
+    // Only results that ran to their natural end are cached: a halted job's
+    // partial outcome depends on when the stop landed, which is not a
+    // property of the request.
+    Some(lease.finish(outcome, halted, info, stats))
 }
 
 #[cfg(test)]

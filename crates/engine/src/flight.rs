@@ -1,316 +1,112 @@
-//! Single-flight request coalescing: at most one execution per canonical
-//! cache key at any moment.
+//! Executions and the requests that consume them: the per-request
+//! [`Consumer`], and single-flight coalescing (at most one execution per
+//! canonical cache key at any moment).
 //!
 //! Every query op is a pure function of its canonical cache key, and a
 //! duality check costs up to quasi-polynomial work — yet the result cache
 //! only helps *after* the first execution completes.  A hot-key stampede
 //! (N identical requests arriving while the first is still running) would
-//! execute the solver N times.  This module closes that window: the first
-//! miss becomes the flight's **leader** (a normal pool job, executed as
-//! usual); every concurrent duplicate becomes a **follower** that attaches
-//! to the flight instead of executing.
+//! execute the solver N times.  So every execution runs as a [`Flight`]: the
+//! request that started it is the flight's **leader**, and every concurrent
+//! duplicate becomes a **follower** that attaches to the flight instead of
+//! executing.  [`QueryCache`] is the one record of a key's state — finished
+//! (an entry), in flight (a pending flight) or absent — and the worker's
+//! `QueryCache::lookup` answers a hit, leads a new flight or joins the
+//! running one in one critical section.
 //!
-//! Followers keep their own request identity end to end — own `id=`
-//! sequence number, own `client_id`, own cancellation token and item quota.
-//! A streamed follower replays the chunks the flight already produced (from
-//! the flight's buffer, with its own per-request chunk `seq` numbering) and
-//! then receives live ones; a one-shot follower just gets the terminal
-//! outcome.  When the execution completes, every follower receives a
-//! terminal [`Response`] built from the same outcome and telemetry as the
-//! leader's — byte-identical modulo `id`/`client_id`.
+//! Each participant is a [`Consumer`] with its own request identity end to
+//! end — own `id=` sequence number, own `client_id`, own cancellation token
+//! and item quota — and its own framing state.  A streamed follower replays
+//! the chunks the flight already produced (from the flight's buffer, with
+//! its own per-request chunk `seq` numbering) and then receives live ones; a
+//! one-shot follower just gets the terminal outcome, byte-identical to the
+//! leader's modulo `id`/`client_id`.  The leader's terminal returns through
+//! the worker like any job's.
 //!
 //! **Leader promotion:** a flight is not killed by its leader's cancellation
-//! or disconnection.  The execution's sink keeps running while *any*
-//! participant still wants the result; a stopped leader merely detaches
-//! (its own response is the partial it consumed, like any cancelled job)
-//! while the flight runs on for the followers — and a naturally completed
-//! flight is cached even if the original leader gave up along the way.
+//! or disconnection.  The execution keeps running while *any* participant
+//! still wants the result; a stopped leader merely detaches (its own
+//! response is the partial it consumed, like any cancelled job) while the
+//! flight runs on for the followers — and a naturally completed flight is
+//! cached even if the original leader gave up along the way.
+//!
+//! **Settling** ([`FlightLease::finish`]) retires the pending flight and, for
+//! a natural end, installs the result in the cache in one critical section,
+//! then delivers the followers' terminals; the leader's terminal leaves
+//! after that.  A duplicate therefore always finds either the flight or the
+//! cache entry, and anything that waits for a terminal before re-asking
+//! (the session's parked duplicates) is answered from the cache.
 //!
 //! Joins happen at two levels: `PoolLink::submit`, the one place every job
-//! enters the engine (sessions, batches and `run_streaming` alike), attaches
-//! before a duplicate ever occupies a pool slot, and the worker itself
-//! re-checks after its cache miss (`lead_or_join`) so duplicates that raced
-//! past the submission check still coalesce.  Duplicates *within* one
-//! session never get this far: the session parks them behind their leader
-//! (see `SessionMux`), so they are answered from the cache instead.
-//! `qld front` adds a third, router-level tier for one-shot duplicates
-//! across client sessions (see `crates/front/src/coalesce.rs`).
+//! enters the engine, attaches before a duplicate ever occupies a pool slot
+//! (`QueryCache::join`), and the worker's lookup catches duplicates that
+//! raced past it.  Duplicates *within* one session never get this far: the
+//! session parks them behind their leader (see `SessionMux`).  Requests with
+//! the cache off, or with coalescing off, run as private flights that
+//! nobody can join.  `qld front` adds a router-level tier for one-shot
+//! duplicates across client sessions (see `crates/front/src/coalesce.rs`).
 
-use crate::engine::{EngineCounters, PoolJob, ReplySender};
+use crate::cache::{CachedResult, QueryCache};
+use crate::engine::{PoolJob, ReplySender};
 use crate::lock_ignoring_poison;
+use crate::ops::ExecInfo;
 use crate::response::{EngineError, Outcome, RequestStats, Response};
 use crate::stream::{
     CancelToken, ChunkFrame, ChunkPayload, ResultSink, SinkDirective, StopReason, StreamEvent,
-    StreamItem,
+    StreamItem, StreamProgress,
 };
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The engine-wide registry of in-flight coalesced executions, keyed by the
-/// canonical cache key (including the `solver=` override suffix).
-pub(crate) struct FlightTable {
-    inner: Mutex<HashMap<String, Arc<Flight>>>,
-    counters: Arc<EngineCounters>,
-    /// Flights led (coalescible executions) since startup.
-    led: AtomicU64,
-    /// Followers attached (duplicate executions avoided) since startup.
-    coalesced: AtomicU64,
-}
-
-/// What [`FlightTable::lead_or_join`] decided for a worker's cache miss.
-pub(crate) enum LeadOutcome {
-    /// No active flight for the key: the caller is now the leader and must
-    /// execute, then settle the lease.
-    Lead(FlightLease),
-    /// The job attached to an active flight as a follower; the flight owns
-    /// its delivery (and its in-flight gauge decrement).
-    Joined,
-}
-
-impl FlightTable {
-    pub(crate) fn new(counters: Arc<EngineCounters>) -> Self {
-        FlightTable {
-            inner: Mutex::new(HashMap::new()),
-            counters,
-            led: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-        }
-    }
-
-    /// Flights led since startup (the `flights` stats field).
-    pub(crate) fn led(&self) -> u64 {
-        self.led.load(Ordering::Relaxed)
-    }
-
-    /// Followers attached since startup (the `coalesced` stats field).
-    pub(crate) fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Attaches a follower (`make_follower` is only called on a join) to the
-    /// key's active flight, if one exists and is still accepting joins.
-    /// `false` means the caller must submit the request itself.
-    pub(crate) fn try_join(&self, key: &str, make_follower: impl FnOnce() -> Follower) -> bool {
-        let table = lock_ignoring_poison(&self.inner);
-        let Some(flight) = table.get(key) else {
-            return false;
-        };
-        let mut state = lock_ignoring_poison(&flight.state);
-        if state.completed {
-            return false;
-        }
-        state.followers.push(make_follower());
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// A worker's post-cache-miss gate: become the key's flight leader, or
-    /// join the active flight as a follower (`make_follower` is only called
-    /// in the latter case).
-    pub(crate) fn lead_or_join(
-        self: &Arc<Self>,
-        key: &str,
-        kind: &'static str,
-        make_follower: impl FnOnce() -> Follower,
-    ) -> LeadOutcome {
-        let mut table = lock_ignoring_poison(&self.inner);
-        if let Some(flight) = table.get(key) {
-            let mut state = lock_ignoring_poison(&flight.state);
-            if !state.completed {
-                state.followers.push(make_follower());
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                return LeadOutcome::Joined;
-            }
-            // A completed flight still in the table is mid-teardown on its
-            // leader's thread; replace it — the old lease removes by
-            // identity, never clobbering the new entry.
-        }
-        let flight = Arc::new(Flight {
-            kind,
-            state: Mutex::new(FlightState::default()),
-        });
-        table.insert(key.to_string(), Arc::clone(&flight));
-        self.led.fetch_add(1, Ordering::Relaxed);
-        LeadOutcome::Lead(FlightLease {
-            table: Arc::clone(self),
-            key: key.to_string(),
-            flight,
-            settled: false,
-        })
-    }
-
-    /// Removes the key's entry iff it is still `flight` (a replacement
-    /// flight under the same key is left alone).
-    fn remove(&self, key: &str, flight: &Arc<Flight>) {
-        let mut table = lock_ignoring_poison(&self.inner);
-        if table.get(key).is_some_and(|f| Arc::ptr_eq(f, flight)) {
-            table.remove(key);
-        }
-    }
-}
-
-/// One coalesced execution: the chunk buffer every follower replays from,
-/// and the followers themselves.  The leader is not a participant here — its
-/// frames flow through the executing worker's normal paths.
-pub(crate) struct Flight {
-    /// The request kind, for follower chunk framing (identical requests have
-    /// identical kinds, so the leader's is everyone's).
-    kind: &'static str,
-    state: Mutex<FlightState>,
-}
-
-#[derive(Default)]
-struct FlightState {
-    /// Every chunk payload the execution produced, in order, regardless of
-    /// whether the leader streamed: a follower enrolling at any point
-    /// replays the identical sequence.
-    buffer: Vec<ChunkPayload>,
-    followers: Vec<Follower>,
-    /// No further joins: the execution has stopped (or is settling).
-    completed: bool,
-}
-
-impl Flight {
-    /// Delivers the terminal outcome to every follower.  `outcome`/`halted`/
-    /// `stats` are the leader execution's results; a follower that stopped
-    /// early (its own cancel or quota) gets a partial built from the prefix
-    /// it consumed instead.
-    fn settle(
-        &self,
-        outcome: &Result<Outcome, EngineError>,
-        halted: Option<StopReason>,
-        stats: &RequestStats,
-        counters: &EngineCounters,
-    ) {
-        let mut state = lock_ignoring_poison(&self.state);
-        state.completed = true;
-        let FlightState {
-            buffer, followers, ..
-        } = &mut *state;
-        for mut follower in followers.drain(..) {
-            follower.pump(self.kind, buffer);
-            let (f_outcome, f_halted) = match follower.halt {
-                None => (outcome.clone(), halted),
-                Some(reason) => (
-                    partial_outcome(self.kind, buffer, follower.items, follower.pos, reason),
-                    Some(reason),
-                ),
-            };
-            let response = Response {
-                id: follower.seq,
-                client_id: follower.client_id.clone(),
-                outcome: f_outcome,
-                halted: f_halted,
-                chunks: follower.stream.then_some(follower.emitted),
-                stats: stats.clone(),
-            };
-            if follower.pool_admitted {
-                counters.job_finished();
-            }
-            follower.reply.send(StreamEvent::Done(response));
-        }
-    }
-}
-
-/// The leader's obligation to settle its flight.  Dropping it unsettled
-/// (a panicking leader) fails the followers with an `internal` error so
-/// nobody waits forever.
-pub(crate) struct FlightLease {
-    table: Arc<FlightTable>,
-    key: String,
-    flight: Arc<Flight>,
-    settled: bool,
-}
-
-impl FlightLease {
-    fn flight(&self) -> &Arc<Flight> {
-        &self.flight
-    }
-
-    /// Settles the flight: removes it from the table (new duplicates start
-    /// fresh — or hit the cache) and delivers every follower's terminal.
-    pub(crate) fn finish(
-        mut self,
-        outcome: &Result<Outcome, EngineError>,
-        halted: Option<StopReason>,
-        stats: &RequestStats,
-    ) {
-        self.settled = true;
-        self.table.remove(&self.key, &self.flight);
-        self.flight
-            .settle(outcome, halted, stats, &self.table.counters);
-    }
-}
-
-impl Drop for FlightLease {
-    fn drop(&mut self) {
-        if self.settled {
-            return;
-        }
-        self.table.remove(&self.key, &self.flight);
-        let outcome = Err(EngineError::internal(
-            "the coalesced leader execution failed; retry the request",
-        ));
-        let stats = RequestStats {
-            solver: "-".to_string(),
-            ..RequestStats::default()
-        };
-        self.flight
-            .settle(&outcome, None, &stats, &self.table.counters);
-    }
-}
-
-/// One attached duplicate of an in-flight execution.
-pub(crate) struct Follower {
-    /// Sequence number within the follower's own session.
+/// One request's end of an execution: its identity, its reply path, and
+/// how far it has consumed.  The only place a chunk frame is built and the
+/// only place cancellation, the item quota and a vanished receiver are
+/// checked.  On its own it is the sink of a cache-hit replay; inside a
+/// [`Flight`] it is the leader or a follower.
+pub(crate) struct Consumer {
+    /// Sequence number within the request's own session.
     seq: u64,
     client_id: Option<String>,
-    /// Whether the follower asked for chunk-by-chunk streaming.
+    /// The request kind, for chunk framing.
+    kind: &'static str,
+    /// Whether the request asked for chunk-by-chunk streaming.
     stream: bool,
     cancel: CancelToken,
     max_items: Option<u64>,
     reply: ReplySender,
-    /// Whether the job was counted on the pool's in-flight gauge (a
-    /// worker-level join); the flight decrements it at delivery.  Joins at
-    /// submission never touch the gauge.
-    pool_admitted: bool,
-    /// Buffer entries consumed so far.
-    pos: usize,
     /// Chunk frames actually delivered (own per-request `seq` numbering).
     emitted: u64,
     /// Result items consumed (delivered or not — the quota is about work).
     items: u64,
     /// The reply channel hung up mid-stream: treat as cancellation.
     receiver_gone: bool,
-    /// Why the follower stopped consuming, once it has.
+    /// Flight buffer entries consumed (a follower's replay position; a
+    /// detached leader's detach point).
+    pos: usize,
+    /// Why a flight participant stopped consuming while the flight ran on.
     halt: Option<StopReason>,
 }
 
-impl Follower {
-    /// A follower standing in for `job`.  `pool_admitted` says whether the
-    /// job was already counted on the in-flight gauge (a worker-level join)
-    /// or joins before reaching the pool.
-    pub(crate) fn from_job(job: &PoolJob, pool_admitted: bool) -> Follower {
-        Follower {
+impl Consumer {
+    /// The consumer of `job`, a query of `kind`.
+    pub(crate) fn new(job: &PoolJob, kind: &'static str) -> Consumer {
+        Consumer {
             seq: job.seq,
             client_id: job.client_id.clone(),
+            kind,
             stream: job.stream,
             cancel: job.cancel.clone(),
             max_items: job.max_items,
             reply: job.reply.clone(),
-            pool_admitted,
-            pos: 0,
             emitted: 0,
             items: 0,
             receiver_gone: false,
+            pos: 0,
             halt: None,
         }
     }
 
-    /// The reason this follower can consume no further, if any — the same
-    /// checks a solo job's sink runs at each yield boundary.
-    fn would_stop(&self) -> Option<StopReason> {
+    /// The reason this consumer can consume no further, if any.
+    fn stop_reason(&self) -> Option<StopReason> {
         if let Some(reason) = self.halt {
             return Some(reason);
         }
@@ -323,7 +119,18 @@ impl Follower {
         None
     }
 
-    fn send(&mut self, kind: &'static str, payload: ChunkPayload) {
+    /// Records the current stop reason as the halt; whether there is one.
+    fn halts(&mut self) -> bool {
+        self.halt = self.stop_reason();
+        self.halt.is_some()
+    }
+
+    /// Consumes one payload: an item counts against the quota, and the
+    /// frame goes out when the request streams.
+    fn take(&mut self, payload: ChunkPayload) {
+        if matches!(payload, ChunkPayload::Item(_)) {
+            self.items += 1;
+        }
         if !self.stream || self.receiver_gone {
             return;
         }
@@ -331,7 +138,7 @@ impl Follower {
             id: self.seq,
             client_id: self.client_id.clone(),
             seq: self.emitted,
-            kind,
+            kind: self.kind,
             payload,
         };
         if self.reply.send(StreamEvent::Chunk(frame)) {
@@ -341,216 +148,369 @@ impl Follower {
         }
     }
 
-    /// Consumes the buffer from this follower's position, honouring the
-    /// follower's own cancel/quota at the same boundaries a cached replay
-    /// would (checked before each item, re-checked after delivering it;
-    /// progress checkpoints pass through unchecked).
-    fn pump(&mut self, kind: &'static str, buffer: &[ChunkPayload]) {
+    /// Consumes the flight buffer from this consumer's position, honouring
+    /// its own cancel/quota at the same boundaries a cached replay would
+    /// (checked before each item, re-checked after delivering it; progress
+    /// checkpoints pass through unchecked).
+    fn pump(&mut self, buffer: &[ChunkPayload]) {
         while self.halt.is_none() && self.pos < buffer.len() {
-            match &buffer[self.pos] {
-                ChunkPayload::Item(item) => {
-                    if let Some(reason) = self.would_stop() {
-                        self.halt = Some(reason);
-                        return;
-                    }
-                    self.items += 1;
-                    self.send(kind, ChunkPayload::Item(item.clone()));
-                    self.pos += 1;
-                    if let Some(reason) = self.would_stop() {
-                        self.halt = Some(reason);
-                        return;
-                    }
-                }
-                progress @ ChunkPayload::Progress(_) => {
-                    let progress = progress.clone();
-                    self.send(kind, progress);
-                    self.pos += 1;
-                }
+            let payload = &buffer[self.pos];
+            let item = matches!(payload, ChunkPayload::Item(_));
+            if item && self.halts() {
+                return;
+            }
+            self.take(payload.clone());
+            self.pos += 1;
+            if item && self.halts() {
+                return;
             }
         }
     }
-}
 
-/// The sink a flight **leader** threads through `ops::execute_streaming`:
-/// behaves exactly like the solo [`WorkerSink`] for the leader itself
-/// (chunk framing, quota, cancellation), while recording every payload in
-/// the flight buffer and fanning it out to the followers.
-///
-/// The directive reported to the running op is the *flight's*, not the
-/// leader's: the execution keeps going while any participant is still
-/// consuming, which is what promotes a follower when the leader stops.
-///
-/// [`WorkerSink`]: crate::engine
-pub(crate) struct FlightSink<'a> {
-    job: &'a PoolJob,
-    kind: &'static str,
-    flight: Arc<Flight>,
-    /// Leader-side chunk framing state (mirrors the solo sink).
-    emitted: u64,
-    items: u64,
-    receiver_gone: bool,
-    /// `Some` once the leader detached while followers kept the flight
-    /// alive; the leader's own answer is then the partial it consumed.
-    /// Stays `None` when the leader is live at the end *or* the flight
-    /// stopped with it — both answer with the execution's own outcome,
-    /// exactly as an uncoalesced run would.
-    leader_halt: Option<StopReason>,
-    /// Buffer length at leader detach (bounds the partial's telemetry scan).
-    leader_pos: usize,
-}
-
-impl<'a> FlightSink<'a> {
-    pub(crate) fn new(job: &'a PoolJob, kind: &'static str, lease: &FlightLease) -> Self {
-        FlightSink {
-            job,
-            kind,
-            flight: Arc::clone(lease.flight()),
-            emitted: 0,
-            items: 0,
-            receiver_gone: false,
-            leader_halt: None,
-            leader_pos: 0,
+    /// A terminal response for this request.
+    pub(crate) fn response(
+        &self,
+        outcome: Result<Outcome, EngineError>,
+        halted: Option<StopReason>,
+        stats: RequestStats,
+    ) -> Response {
+        Response {
+            id: self.seq,
+            client_id: self.client_id.clone(),
+            outcome,
+            halted,
+            chunks: self.stream.then_some(self.emitted),
+            stats,
         }
     }
 
-    /// The leader's stop reason as of now (its recorded detach, or a fresh
-    /// cancel/quota trip).
-    fn leader_would_stop(&self) -> Option<StopReason> {
-        if let Some(reason) = self.leader_halt {
-            return Some(reason);
-        }
-        if self.job.cancel.is_cancelled() || self.receiver_gone {
-            return Some(StopReason::Cancelled);
-        }
-        if self.job.max_items.is_some_and(|quota| self.items >= quota) {
-            return Some(StopReason::ItemQuota);
-        }
-        None
-    }
-
-    fn send_leader(&mut self, payload: ChunkPayload) {
-        if !self.job.stream || self.receiver_gone {
-            return;
-        }
-        let frame = ChunkFrame {
-            id: self.job.seq,
-            client_id: self.job.client_id.clone(),
-            seq: self.emitted,
-            kind: self.kind,
-            payload,
-        };
-        if self.job.reply.send(StreamEvent::Chunk(frame)) {
-            self.emitted += 1;
-        } else {
-            self.receiver_gone = true;
-        }
-    }
-
-    /// Records one payload in the flight, delivers it to every live
-    /// consumer (leader first, so its frame order matches a solo run), and
-    /// computes the flight directive.
-    fn push(&mut self, payload: ChunkPayload) -> SinkDirective {
-        let flight = Arc::clone(&self.flight);
-        let mut state = lock_ignoring_poison(&flight.state);
-        if self.leader_halt.is_none() {
-            if matches!(payload, ChunkPayload::Item(_)) {
-                self.items += 1;
-            }
-            self.send_leader(payload.clone());
-        }
-        state.buffer.push(payload);
-        let buffer_len = state.buffer.len();
-        let FlightState {
-            buffer, followers, ..
-        } = &mut *state;
-        for follower in followers.iter_mut() {
-            follower.pump(self.kind, buffer);
-        }
-        let Some(reason) = self.leader_would_stop() else {
-            return SinkDirective::Continue;
-        };
-        if state.followers.iter().any(|f| f.would_stop().is_none()) {
-            // Promotion: a follower still wants the result, so the
-            // execution outlives its leader.  Record the detach point once;
-            // the leader consumes nothing further.
-            if self.leader_halt.is_none() {
-                self.leader_halt = Some(reason);
-                self.leader_pos = buffer_len;
-            }
-            return SinkDirective::Continue;
-        }
-        // Everyone has stopped: the flight dies at this yield boundary.
-        state.completed = true;
-        SinkDirective::Stop(self.flight_stop_reason(&state, reason))
-    }
-
-    /// The reason the whole flight stopped: the leader's own when it was
-    /// the last to go, otherwise the reason of the last follower standing.
-    fn flight_stop_reason(&self, state: &FlightState, leader_reason: StopReason) -> StopReason {
-        if self.leader_halt.is_none() {
-            return leader_reason;
-        }
-        state
-            .followers
-            .iter()
-            .rev()
-            .find_map(|f| f.would_stop())
-            .unwrap_or(leader_reason)
-    }
-
-    /// The leader's own terminal view `(outcome, halted, chunks_emitted)`.
-    /// A leader that never detached answers with the execution's outcome —
-    /// byte-identical to an uncoalesced run; a detached (promoted-away)
-    /// leader answers with the partial prefix it consumed.
-    pub(crate) fn leader_view(
+    /// This participant's terminal: the execution's outcome, or the partial
+    /// prefix it consumed if it stopped while the flight ran on.
+    fn terminal(
         &self,
         outcome: &Result<Outcome, EngineError>,
         halted: Option<StopReason>,
-    ) -> (Result<Outcome, EngineError>, Option<StopReason>, u64) {
-        match self.leader_halt {
-            None => (outcome.clone(), halted, self.emitted),
-            Some(reason) => {
-                let state = lock_ignoring_poison(&self.flight.state);
-                (
-                    partial_outcome(
-                        self.kind,
-                        &state.buffer,
-                        self.items,
-                        self.leader_pos,
-                        reason,
-                    ),
-                    Some(reason),
-                    self.emitted,
-                )
+        stats: &RequestStats,
+        buffer: &[ChunkPayload],
+    ) -> Response {
+        let (outcome, halted) = match self.halt {
+            None => (outcome.clone(), halted),
+            Some(reason) => (
+                partial_outcome(self.kind, buffer, self.items, self.pos, reason),
+                Some(reason),
+            ),
+        };
+        self.response(outcome, halted, stats.clone())
+    }
+
+    /// Replays a cached outcome (a no-op for one-shot requests and item-less
+    /// outcomes), truncating it if this consumer stops mid-way — a cancelled
+    /// or quota-limited client sees the same prefix semantics whether the
+    /// result was computed or replayed.
+    ///
+    /// The outcome is borrowed from the `Arc`-shared cache entry: a replay
+    /// clones only the prefix the client actually receives.
+    pub(crate) fn replay(
+        &mut self,
+        outcome: &Result<Outcome, EngineError>,
+    ) -> (Result<Outcome, EngineError>, Option<StopReason>) {
+        // The fast hit path: nothing to forward, nothing to count.
+        if !self.stream && self.max_items.is_none() && !self.cancel.is_cancelled() {
+            return (outcome.clone(), None);
+        }
+        match outcome {
+            Ok(Outcome::Transversals {
+                transversals,
+                complete,
+            }) => {
+                let (replayed, halted) =
+                    self.replay_items(transversals, |t| StreamItem::Transversal(t.clone()));
+                let outcome = Ok(Outcome::Transversals {
+                    transversals: transversals[..replayed].to_vec(),
+                    complete: *complete && halted.is_none(),
+                });
+                (outcome, halted)
             }
+            Ok(Outcome::FullBorders {
+                maximal_frequent,
+                minimal_infrequent,
+                identification_calls,
+                complete,
+            }) => {
+                let border = |maximal: bool| {
+                    move |s: &Vec<usize>| StreamItem::BorderElement {
+                        maximal,
+                        itemset: s.clone(),
+                    }
+                };
+                let (replayed_max, mut halted) = self.replay_items(maximal_frequent, border(true));
+                let replayed_min = if halted.is_none() {
+                    let (replayed, stop) = self.replay_items(minimal_infrequent, border(false));
+                    halted = stop;
+                    replayed
+                } else {
+                    0
+                };
+                let outcome = Ok(Outcome::FullBorders {
+                    maximal_frequent: maximal_frequent[..replayed_max].to_vec(),
+                    minimal_infrequent: minimal_infrequent[..replayed_min].to_vec(),
+                    identification_calls: *identification_calls,
+                    complete: *complete && halted.is_none(),
+                });
+                (outcome, halted)
+            }
+            other => (other.clone(), None),
+        }
+    }
+
+    /// Replays one item list, returning how many items made it and whether
+    /// (and why) the replay stopped.
+    fn replay_items<T>(
+        &mut self,
+        items: &[T],
+        to_item: impl Fn(&T) -> StreamItem,
+    ) -> (usize, Option<StopReason>) {
+        for (index, entry) in items.iter().enumerate() {
+            if let SinkDirective::Stop(reason) = self.check() {
+                return (index, Some(reason));
+            }
+            if let SinkDirective::Stop(reason) = self.item(to_item(entry)) {
+                return (index + 1, Some(reason));
+            }
+        }
+        (items.len(), None)
+    }
+}
+
+/// A lone consumer is a solo sink: it forwards, counts and stops exactly
+/// as its request asks.
+impl ResultSink for Consumer {
+    fn item(&mut self, item: StreamItem) -> SinkDirective {
+        self.take(ChunkPayload::Item(item));
+        self.check()
+    }
+
+    fn progress(&mut self, progress: StreamProgress) {
+        self.take(ChunkPayload::Progress(progress));
+    }
+
+    fn check(&self) -> SinkDirective {
+        match self.stop_reason() {
+            Some(reason) => SinkDirective::Stop(reason),
+            None => SinkDirective::Continue,
         }
     }
 }
 
-impl ResultSink for FlightSink<'_> {
+/// One execution and everyone consuming it.
+pub(crate) struct Flight {
+    /// Whether duplicates can attach (the flight is registered in the
+    /// cache).  A private flight keeps no replay buffer.
+    shared: bool,
+    state: Mutex<FlightState>,
+}
+
+impl std::fmt::Debug for Flight {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Flight")
+            .field("shared", &self.shared)
+            .finish_non_exhaustive()
+    }
+}
+
+struct FlightState {
+    /// Every chunk payload the execution produced, in order, regardless of
+    /// whether the leader streamed: a follower enrolling at any point
+    /// replays the identical sequence.
+    buffer: Vec<ChunkPayload>,
+    /// The request that started the execution.
+    leader: Consumer,
+    followers: Vec<Consumer>,
+    /// No further joins: the execution has stopped (or is settling).
+    completed: bool,
+}
+
+impl Flight {
+    /// A flight led by `leader`; `shared` flights accept followers.
+    pub(crate) fn new(leader: Consumer, shared: bool) -> Arc<Flight> {
+        Arc::new(Flight {
+            shared,
+            state: Mutex::new(FlightState {
+                buffer: Vec::new(),
+                leader,
+                followers: Vec::new(),
+                completed: false,
+            }),
+        })
+    }
+
+    /// Attaches a follower, or hands it back if the execution has already
+    /// stopped.
+    pub(crate) fn attach(&self, follower: Consumer) -> Result<(), Consumer> {
+        let mut state = lock_ignoring_poison(&self.state);
+        if state.completed {
+            return Err(follower);
+        }
+        state.followers.push(follower);
+        Ok(())
+    }
+}
+
+impl FlightState {
+    /// The flight's directive at a yield boundary: it runs on while any
+    /// consumer still wants the result.  A stopped leader with a live
+    /// follower detaches (promotion) and consumes nothing further; once
+    /// everyone has stopped, the flight stops with the reason of the last
+    /// one standing.
+    fn directive(&mut self) -> SinkDirective {
+        let Some(reason) = self.leader.stop_reason() else {
+            return SinkDirective::Continue;
+        };
+        if self.followers.iter().any(|f| f.stop_reason().is_none()) {
+            if self.leader.halt.is_none() {
+                self.leader.halt = Some(reason);
+                self.leader.pos = self.buffer.len();
+            }
+            return SinkDirective::Continue;
+        }
+        self.completed = true;
+        if self.leader.halt.is_none() {
+            return SinkDirective::Stop(reason);
+        }
+        let last = self.followers.iter().rev().find_map(Consumer::stop_reason);
+        SinkDirective::Stop(last.unwrap_or(reason))
+    }
+
+    /// Delivers every follower's terminal.  `outcome`/`halted`/`stats` are
+    /// the execution's results; a follower that stopped early gets a
+    /// partial built from the prefix it consumed instead.
+    fn deliver(
+        &mut self,
+        outcome: &Result<Outcome, EngineError>,
+        halted: Option<StopReason>,
+        stats: &RequestStats,
+    ) {
+        self.completed = true;
+        for mut follower in self.followers.drain(..) {
+            follower.pump(&self.buffer);
+            let response = follower.terminal(outcome, halted, stats, &self.buffer);
+            follower.reply.send(StreamEvent::Done(response));
+        }
+    }
+}
+
+/// The leader's hold on its flight, and the sink the execution runs
+/// through.  Settle it with [`FlightLease::finish`]; dropping it unsettled
+/// (a panicking execution) fails the followers with an `internal` error and
+/// frees the key, so nobody waits forever.
+pub(crate) struct FlightLease {
+    /// The cache and key the result settles into (`None` when the request
+    /// is not cached).
+    home: Option<(Arc<QueryCache>, Arc<str>)>,
+    flight: Arc<Flight>,
+    settled: bool,
+}
+
+impl FlightLease {
+    /// A lease on `flight`, settling into `home`.
+    pub(crate) fn new(home: Option<(Arc<QueryCache>, Arc<str>)>, flight: Arc<Flight>) -> Self {
+        FlightLease {
+            home,
+            flight,
+            settled: false,
+        }
+    }
+
+    /// The lease of an uncached request: a private flight, nothing to
+    /// install.
+    pub(crate) fn private(leader: Consumer) -> Self {
+        FlightLease::new(None, Flight::new(leader, false))
+    }
+
+    /// Settles the flight and returns the leader's terminal.  The cache
+    /// step comes first: the pending flight is retired and a natural end
+    /// (`halted` is `None`) is installed in one critical section.  Then
+    /// every follower gets its terminal.  The leader answers with the
+    /// execution's outcome unless it detached, in which case it answers
+    /// with the partial it consumed.
+    pub(crate) fn finish(
+        mut self,
+        outcome: Result<Outcome, EngineError>,
+        halted: Option<StopReason>,
+        info: ExecInfo,
+        stats: RequestStats,
+    ) -> Response {
+        self.settled = true;
+        if let Some((cache, key)) = self.home.take() {
+            let result = halted.is_none().then(|| CachedResult {
+                outcome: outcome.clone(),
+                info,
+            });
+            cache.settle(key, &self.flight, result);
+        }
+        let mut state = lock_ignoring_poison(&self.flight.state);
+        state.deliver(&outcome, halted, &stats);
+        state
+            .leader
+            .terminal(&outcome, halted, &stats, &state.buffer)
+    }
+
+    /// Records one payload, delivers it to every live consumer (leader
+    /// first, so its frame order matches a solo run), and computes the
+    /// flight's directive.  A private flight has only its leader and keeps
+    /// no buffer.
+    fn push(&mut self, payload: ChunkPayload) -> SinkDirective {
+        let mut guard = lock_ignoring_poison(&self.flight.state);
+        let state = &mut *guard;
+        if !self.flight.shared {
+            state.leader.take(payload);
+        } else {
+            if state.leader.halt.is_none() {
+                state.leader.take(payload.clone());
+            }
+            state.buffer.push(payload);
+            for follower in &mut state.followers {
+                follower.pump(&state.buffer);
+            }
+        }
+        state.directive()
+    }
+}
+
+impl Drop for FlightLease {
+    fn drop(&mut self) {
+        if self.settled {
+            return;
+        }
+        if let Some((cache, key)) = self.home.take() {
+            cache.settle(key, &self.flight, None);
+        }
+        let outcome = Err(EngineError::internal(
+            "the coalesced leader execution failed; retry the request",
+        ));
+        let stats = RequestStats {
+            solver: "-".to_string(),
+            ..RequestStats::default()
+        };
+        lock_ignoring_poison(&self.flight.state).deliver(&outcome, None, &stats);
+    }
+}
+
+/// The directive reported to the running op is the *flight's*, not the
+/// leader's: the execution keeps going while any participant is still
+/// consuming, which is what promotes a follower when the leader stops.
+impl ResultSink for FlightLease {
     fn item(&mut self, item: StreamItem) -> SinkDirective {
         self.push(ChunkPayload::Item(item))
     }
 
-    fn progress(&mut self, progress: crate::stream::StreamProgress) {
+    fn progress(&mut self, progress: StreamProgress) {
         // Progress checkpoints never stop an op; the directive is dropped.
         let _ = self.push(ChunkPayload::Progress(progress));
     }
 
     fn check(&self) -> SinkDirective {
-        let mut state = lock_ignoring_poison(&self.flight.state);
-        let Some(reason) = self.leader_would_stop() else {
-            return SinkDirective::Continue;
-        };
-        if state.followers.iter().any(|f| f.would_stop().is_none()) {
-            return SinkDirective::Continue;
-        }
-        // `check` cannot record the leader's detach (it is `&self`), which
-        // is exactly right: a stop decided here means the flight died with
-        // the leader, and the execution's own partial is the leader's
-        // answer — the solo-run semantics.
-        state.completed = true;
-        SinkDirective::Stop(self.flight_stop_reason(&state, reason))
+        lock_ignoring_poison(&self.flight.state).directive()
     }
 }
 

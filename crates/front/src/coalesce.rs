@@ -89,7 +89,7 @@ impl FrontFlights {
     /// Registers interest in `key`: `true` means the caller leads a fresh
     /// flight and must forward the line; `false` means the request enrolled
     /// as a follower of an in-flight leader (`make` is called only then).
-    pub(crate) fn lead_or_join(&self, key: &str, make: impl FnOnce() -> FrontFollower) -> bool {
+    pub(crate) fn lead_or_enroll(&self, key: &str, make: impl FnOnce() -> FrontFollower) -> bool {
         let mut map = lock(&self.inner);
         match map.entry(key.to_string()) {
             Entry::Occupied(mut entry) => {

@@ -266,7 +266,7 @@ impl<S: SessionStream> Core<S> {
                         // through — the engine's on-shard fan-out dedups
                         // them (hash affinity lands duplicates together),
                         // and the router never buffers chunk history.
-                        let lead = self.flights.lead_or_join(&key, || {
+                        let lead = self.flights.lead_or_enroll(&key, || {
                             self.pending_inc();
                             FrontFollower {
                                 session: Arc::clone(self) as Arc<dyn CoalesceSession>,

@@ -372,4 +372,30 @@ fn no_coalesce_disables_the_flight_layer_but_keeps_the_cache() {
     assert!(!first.stats.cache_hit);
     assert!(second.stats.cache_hit, "the cache still dedups in sequence");
     assert_eq!(eng.coalesce_stats(), (0, 0));
+
+    // Cache off, coalescing on: flights are keyed on the cache key, so there
+    // are none, and a duplicate of a running request executes too.
+    let policy = GatePolicy::new(1);
+    let eng = Arc::new(Engine::new(EngineConfig {
+        workers: 2,
+        cache: false,
+        coalesce: true,
+        policy: Arc::clone(&policy) as Arc<dyn SolverPolicy>,
+        ..EngineConfig::default()
+    }));
+    let run = || {
+        let eng = Arc::clone(&eng);
+        thread::spawn(move || eng.run_one(check_request()))
+    };
+    let first = run();
+    wait_until("the first execution to start", || policy.calls() >= 1);
+    let second = run();
+    wait_until("the duplicate to execute as well", || policy.calls() >= 2);
+    policy.release();
+    for handle in [first, second] {
+        let response = handle.join().unwrap();
+        assert!(response.is_ok() && !response.stats.cache_hit);
+    }
+    assert_eq!(policy.calls(), 2, "two executions");
+    assert_eq!(eng.coalesce_stats(), (0, 0));
 }

@@ -683,6 +683,13 @@ fn cancelled_leader_promotes_a_follower_session() {
     let mut a = front.connect();
     let a_reader = BufReader::new(a.try_clone().unwrap());
     writeln!(a, "mine {rel} z=0 full=true id=leader").unwrap();
+    // Only once the router has registered A's flight may B's line race it:
+    // otherwise B can reach the router first and lead instead.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while front.router.coalesce_stats().0 < 1 {
+        assert!(Instant::now() < deadline, "leader never registered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     // ...and session B enrolls as its follower.
     let follower_line = format!("mine {rel} z=0 full=true id=dup\n");
