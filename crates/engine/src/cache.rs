@@ -11,8 +11,15 @@
 //! Eviction is **least-recently-used**: every hit refreshes an entry's
 //! recency, and inserting a new key into a full cache removes the entry that
 //! has gone longest without being touched (a generation-clock design — a
-//! monotone tick per touch, with a `BTreeMap` recency index from tick to key,
-//! so both the hit path and the eviction path are `O(log n)`).  An optional
+//! monotone tick per touch, with a `BTreeMap` recency index from tick to key
+//! digest, so both the hit path and the eviction path are `O(log n)`).
+//!
+//! **Stored keys are packed.**  A canonical key spells its whole instance and
+//! runs to kilobytes, so each entry keeps its key packed (`keypack`, about
+//! 2.7x smaller) under a 64-bit digest of the plain key.  A lookup only
+//! hashes the plain key and compares it against the one packed key filed
+//! under that digest; a different key with the same digest (a digest
+//! collision) is a miss, and storing it replaces the old entry.  An optional
 //! TTL additionally expires entries a fixed duration after they were stored;
 //! expired entries answer as misses and are removed on access.  All four
 //! outcomes — hit, miss, eviction, expiration — are counted and exposed via
@@ -30,10 +37,13 @@
 //! snapshots, and a capacity-0 cache still coalesces.
 
 use crate::flight::{Consumer, Flight, FlightLease};
+use crate::keypack;
 use crate::lock_ignoring_poison;
 use crate::ops::ExecInfo;
 use crate::response::{EngineError, Outcome};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -67,11 +77,14 @@ pub struct CacheStats {
 /// Default bound on stored entries (see [`QueryCache::with_capacity`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
-/// One stored entry: the result plus its recency tick and insertion time.
-/// The result is `Arc`-shared with every hit (and with snapshot exports), so
-/// replaying a hot streamed key never deep-copies the stored chunk vectors.
+/// One stored entry: its packed key, the result, its recency tick and its
+/// insertion time.  The result is `Arc`-shared with every hit (and with
+/// snapshot exports), so replaying a hot streamed key never deep-copies the
+/// stored chunk vectors.
 #[derive(Debug)]
 struct Entry {
+    /// The canonical key, packed by [`keypack::pack`].
+    key: Box<[u8]>,
     result: Arc<CachedResult>,
     /// Generation-clock value of the last touch; index into `recency`.
     tick: u64,
@@ -80,15 +93,13 @@ struct Entry {
     stored_at: Instant,
 }
 
-/// The mutexed interior: the key map plus the recency index.  Keys are
-/// `Arc<str>` shared between the two containers: canonical keys are complete
-/// request encodings (potentially kilobytes), so neither the second index nor
-/// the hit-path recency bump should copy them.
+/// The mutexed interior: the entries by key digest plus the recency index.
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<Arc<str>, Entry>,
-    /// Recency index: tick → key, ascending ticks are least recently used.
-    recency: BTreeMap<u64, Arc<str>>,
+    map: HashMap<u64, Entry>,
+    /// Recency index: tick → key digest, ascending ticks are least recently
+    /// used.
+    recency: BTreeMap<u64, u64>,
     /// The generation clock; strictly increases on every touch.
     tick: u64,
     /// Executions in flight, by key.  A natural end moves its key from here
@@ -107,6 +118,9 @@ struct Inner {
 #[derive(Debug)]
 pub struct QueryCache {
     inner: Mutex<Inner>,
+    /// Keys the digests of stored keys (randomly, so crafted keys cannot
+    /// aim collisions at each other).
+    digests: RandomState,
     capacity: usize,
     ttl: Option<Duration>,
     hits: AtomicU64,
@@ -155,6 +169,7 @@ impl QueryCache {
     pub fn with_limits(capacity: usize, ttl: Option<Duration>) -> Self {
         QueryCache {
             inner: Mutex::new(Inner::default()),
+            digests: RandomState::new(),
             capacity,
             ttl,
             hits: AtomicU64::new(0),
@@ -201,31 +216,31 @@ impl QueryCache {
 
     /// [`QueryCache::get`] under the caller's lock.
     fn get_locked(&self, inner: &mut Inner, key: &str) -> Option<Arc<CachedResult>> {
-        let Some(entry) = inner.map.get(key) else {
+        let digest = self.digests.hash_one(key);
+        let Inner {
+            map, recency, tick, ..
+        } = inner;
+        let Some(entry) = map
+            .get_mut(&digest)
+            .filter(|entry| keypack::equals(&entry.key, key.as_bytes()))
+        else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
         if self.expired(entry) {
-            let old_tick = entry.tick;
-            inner.map.remove(key);
-            inner.recency.remove(&old_tick);
+            recency.remove(&entry.tick);
+            map.remove(&digest);
             self.expirations.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        // Touch: move the entry to the most-recent end of the recency index
-        // (an Arc clone of the stored key, not a copy of its bytes).
-        inner.tick += 1;
-        let tick = inner.tick;
-        let (shared_key, entry) = inner.map.get_key_value(key).expect("entry checked above");
-        let shared_key = Arc::clone(shared_key);
-        let old_tick = entry.tick;
-        let result = Arc::clone(&entry.result);
-        inner.map.get_mut(key).expect("entry checked above").tick = tick;
-        inner.recency.remove(&old_tick);
-        inner.recency.insert(tick, shared_key);
+        // Touch: move the entry to the most-recent end of the recency index.
+        *tick += 1;
+        recency.remove(&entry.tick);
+        recency.insert(*tick, digest);
+        entry.tick = *tick;
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(result)
+        Some(Arc::clone(&entry.result))
     }
 
     /// The worker's one question about a key: a finished result (counted as
@@ -281,6 +296,7 @@ impl QueryCache {
     /// installs `result` — one critical section, so a lookup finds either
     /// the flight or the finished entry, never neither.
     pub(crate) fn settle(&self, key: Arc<str>, flight: &Arc<Flight>, result: Option<CachedResult>) {
+        let filed = result.map(|result| (self.file(&key), Arc::new(result)));
         let mut inner = lock_ignoring_poison(&self.inner);
         if inner
             .flights
@@ -289,8 +305,8 @@ impl QueryCache {
         {
             inner.flights.remove(&key);
         }
-        if let Some(result) = result {
-            self.insert_locked(&mut inner, key, Arc::new(result), Instant::now());
+        if let Some((filed, result)) = filed {
+            self.insert_locked(&mut inner, filed, result, Instant::now());
         }
     }
 
@@ -298,70 +314,75 @@ impl QueryCache {
     /// least-recently-used entry if the cache is full.  Re-inserting an
     /// existing key refreshes both its value and its recency.
     pub fn insert(&self, key: String, result: CachedResult) {
-        self.insert_stored_at(key, Arc::new(result), Instant::now());
+        self.insert_stored_at(&key, Arc::new(result), Instant::now());
     }
 
     /// [`QueryCache::insert`] with an explicit storage instant, so snapshot
     /// restoration can backdate entries and keep their TTL clocks running.
-    fn insert_stored_at(&self, key: String, result: Arc<CachedResult>, stored_at: Instant) {
+    fn insert_stored_at(&self, key: &str, result: Arc<CachedResult>, stored_at: Instant) {
+        let filed = self.file(key);
         self.insert_locked(
             &mut lock_ignoring_poison(&self.inner),
-            key,
+            filed,
             result,
             stored_at,
         );
     }
 
+    /// A key as the map files it: the digest of the plain key and the packed
+    /// key.  Computed before taking the lock, since packing a kilobyte key
+    /// takes microseconds.
+    fn file(&self, key: &str) -> (u64, Box<[u8]>) {
+        (self.digests.hash_one(key), keypack::pack(key.as_bytes()))
+    }
+
     /// [`QueryCache::insert`] under the caller's lock.
-    fn insert_locked<K: AsRef<str> + Into<Arc<str>>>(
+    fn insert_locked(
         &self,
         inner: &mut Inner,
-        key: K,
+        (digest, key): (u64, Box<[u8]>),
         result: Arc<CachedResult>,
         stored_at: Instant,
     ) {
         if self.capacity == 0 {
             return;
         }
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some((shared_key, existing)) = inner.map.get_key_value(key.as_ref()) {
-            let shared_key = Arc::clone(shared_key);
-            let old_tick = existing.tick;
-            let existing = inner
-                .map
-                .get_mut(key.as_ref())
-                .expect("entry checked above");
+        let Inner {
+            map, recency, tick, ..
+        } = inner;
+        *tick += 1;
+        if let Some(existing) = map.get_mut(&digest) {
+            // The same key is refreshed; a different key with the same digest
+            // takes the slot, which evicts the old entry.
+            if existing.key != key {
+                existing.key = key;
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            recency.remove(&existing.tick);
+            recency.insert(*tick, digest);
             existing.result = result;
-            existing.tick = tick;
+            existing.tick = *tick;
             existing.stored_at = stored_at;
-            inner.recency.remove(&old_tick);
-            inner.recency.insert(tick, shared_key);
             return;
         }
-        if inner.map.len() >= self.capacity {
+        if map.len() >= self.capacity {
             // Evict the least-recently-used entry (the smallest tick).  If it
             // happens to be past its TTL this is an expiration, not a "real"
             // eviction of live data.
-            if let Some((&lru_tick, _)) = inner.recency.iter().next() {
-                let lru_key = inner
-                    .recency
-                    .remove(&lru_tick)
-                    .expect("recency entry just observed");
-                let victim = inner.map.remove(&lru_key);
-                match victim {
+            if let Some((_, lru_digest)) = recency.pop_first() {
+                match map.remove(&lru_digest) {
                     Some(v) if self.expired(&v) => self.expirations.fetch_add(1, Ordering::Relaxed),
                     _ => self.evictions.fetch_add(1, Ordering::Relaxed),
                 };
             }
         }
-        let key: Arc<str> = key.into();
-        inner.recency.insert(tick, Arc::clone(&key));
-        inner.map.insert(
-            key,
+        recency.insert(*tick, digest);
+        map.insert(
+            digest,
             Entry {
+                key,
                 result,
-                tick,
+                tick: *tick,
                 stored_at,
             },
         );
@@ -375,14 +396,14 @@ impl QueryCache {
         let entries = {
             let mut inner = lock_ignoring_poison(&self.inner);
             if self.ttl.is_some() {
-                let expired: Vec<Arc<str>> = inner
+                let expired: Vec<u64> = inner
                     .map
                     .iter()
                     .filter(|(_, entry)| self.expired(entry))
-                    .map(|(key, _)| Arc::clone(key))
+                    .map(|(&digest, _)| digest)
                     .collect();
-                for key in expired {
-                    if let Some(entry) = inner.map.remove(key.as_ref()) {
+                for digest in expired {
+                    if let Some(entry) = inner.map.remove(&digest) {
                         inner.recency.remove(&entry.tick);
                         self.expirations.fetch_add(1, Ordering::Relaxed);
                     }
@@ -415,13 +436,14 @@ impl QueryCache {
         inner
             .recency
             .values()
-            .filter_map(|key| {
-                let entry = inner.map.get(key.as_ref())?;
+            .filter_map(|digest| {
+                let entry = inner.map.get(digest)?;
                 if self.expired(entry) {
                     return None;
                 }
                 Some(SnapshotEntry {
-                    key: key.to_string(),
+                    key: String::from_utf8(keypack::unpack(&entry.key))
+                        .expect("keys are stored from `str`s"),
                     age: entry.stored_at.elapsed(),
                     result: Arc::clone(&entry.result),
                 })
@@ -452,7 +474,7 @@ impl QueryCache {
                 }
             }
         };
-        self.insert_stored_at(entry.key, entry.result, stored_at);
+        self.insert_stored_at(&entry.key, entry.result, stored_at);
         true
     }
 }

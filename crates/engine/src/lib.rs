@@ -73,6 +73,7 @@ pub mod engine;
 pub mod fairness;
 pub(crate) mod flight;
 pub mod json;
+pub(crate) mod keypack;
 pub mod ops;
 pub mod policy;
 #[cfg(unix)]

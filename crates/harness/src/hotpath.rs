@@ -14,7 +14,9 @@
 //! * transversal checks through the [`qld_hypergraph::HypergraphIndex`] arena vs. the
 //!   heap edge-list scan;
 //! * `minimize_transversal` (clone-per-step before, in-place word ops after);
-//! * the `full` / `complement` / `lex_cmp` kernels themselves.
+//! * the `full` / `complement` / `lex_cmp` kernels themselves;
+//! * `Hypergraph::minimize` (one sort plus subset tests against smaller kept edges)
+//!   vs. the quadratic all-pairs pass it replaced ([`ref_minimize`]).
 //!
 //! Every measurement first cross-checks that baseline and optimized paths compute the
 //! same answers, so a speedup can never come from a semantic drift.  Results are
@@ -254,16 +256,19 @@ pub struct ClassifyWorkload {
     pub sets: Vec<VertexSet>,
 }
 
+/// One step of the splitmix64 generator behind the deterministic workloads.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Deterministic pseudo-random subsets of `0..n` (splitmix-style), densities mixed.
 fn sample_sets(n: usize, count: usize, seed: u64) -> Vec<VertexSet> {
     let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix(&mut state);
     (0..count)
         .map(|i| {
             let mut s = VertexSet::empty(n);
@@ -326,6 +331,32 @@ pub fn wide_workload(n: usize, m: usize, seed: u64) -> (Hypergraph, Vec<VertexSe
         probes.push(s);
     }
     (h, probes)
+}
+
+/// A mixed-size family with redundancy, the input shape `minimize` exists for:
+/// random edges of 2–8 vertices over `0..n`, every fifth edge a duplicate of an
+/// earlier one and every seventh a superset of one.
+pub fn mixed_family(n: usize, m: usize, seed: u64) -> Hypergraph {
+    let mut state = seed;
+    let mut edges: Vec<VertexSet> = Vec::with_capacity(m);
+    for i in 0..m {
+        let r = splitmix(&mut state);
+        let pick = (r >> 16) as usize;
+        let e = if i > 0 && i % 5 == 0 {
+            edges[pick % i].clone()
+        } else if i > 0 && i % 7 == 0 {
+            edges[pick % i].with(Vertex::from((r >> 40) as usize % n))
+        } else {
+            let size = 2 + (r % 7) as usize;
+            let mut e = VertexSet::empty(n);
+            while e.len() < size {
+                e.insert(Vertex::from(splitmix(&mut state) as usize % n));
+            }
+            e
+        };
+        edges.push(e);
+    }
+    Hypergraph::from_edges(n, edges)
 }
 
 // ---------------------------------------------------------------------------
@@ -631,6 +662,50 @@ pub fn measure_set_kernels(n: usize, iters: usize) -> HotpathMetric {
     }
 }
 
+/// The quadratic `minimize` the antichain pass replaced: every edge is
+/// subset-tested against every edge kept so far, in input order.
+pub fn ref_minimize(edges: &[VertexSet]) -> Vec<VertexSet> {
+    let mut keep: Vec<VertexSet> = Vec::new();
+    'outer: for e in edges {
+        let mut i = 0;
+        while i < keep.len() {
+            if keep[i].is_subset(e) {
+                continue 'outer;
+            }
+            if e.is_subset(&keep[i]) {
+                keep.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        keep.push(e.clone());
+    }
+    keep
+}
+
+/// Measures `Hypergraph::minimize` against the quadratic reference pass.  Panics
+/// unless both keep the same edges in the same order.
+pub fn measure_family_minimize(h: &Hypergraph, iters: usize) -> HotpathMetric {
+    assert_eq!(
+        h.minimize().edges(),
+        &ref_minimize(h.edges())[..],
+        "minimize disagrees with the quadratic reference"
+    );
+    let optimized_ns = time_ns(iters, || {
+        black_box(h.minimize());
+    });
+    let baseline_ns = time_ns(iters, || {
+        black_box(ref_minimize(h.edges()));
+    });
+    HotpathMetric {
+        name: "family-minimize",
+        universe: h.num_vertices(),
+        baseline_ns,
+        optimized_ns,
+        ops_per_iter: 1,
+    }
+}
+
 /// Runs every E12 measurement at the given per-metric iteration count.
 pub fn measure_all(iters: usize) -> Vec<HotpathMetric> {
     let small = classify_workload_small();
@@ -641,6 +716,12 @@ pub fn measure_all(iters: usize) -> Vec<HotpathMetric> {
     let (h_320, probes_320) = wide_workload(320, 3072, 0xE12D);
     let (h_1024, probes_1024) = wide_workload(1024, 8192, 0xE12E);
     let wide_iters = iters.max(1) / 8 + 1;
+    // `threshold(52,2)`'s G (|G| = 1326, the cold-solve benchmark's largest family),
+    // a redundant mixed-size family in the spilled representation, and a 16-edge one
+    // of the size the mining and key loops minimize over and over.
+    let th_52 = generators::threshold_hypergraph(52, 2);
+    let mixed = mixed_family(96, 1200, 0xE12F);
+    let family_16 = mixed_family(16, 16, 0xE130);
     vec![
         measure_classify(&small, iters),
         measure_classify(&spilled, iters.max(1) / 4 + 1),
@@ -653,6 +734,9 @@ pub fn measure_all(iters: usize) -> Vec<HotpathMetric> {
         measure_wide_transversal_batch(&h_1024, &probes_1024, wide_iters),
         measure_wide_classify_batch(&h_320, &probes_320, wide_iters),
         measure_wide_classify_batch(&h_1024, &probes_1024, wide_iters),
+        measure_family_minimize(&th_52, wide_iters),
+        measure_family_minimize(&mixed, wide_iters),
+        measure_family_minimize(&family_16, iters),
     ]
 }
 
@@ -665,7 +749,7 @@ mod tests {
         // The measurement helpers assert agreement internally; a single fast
         // iteration exercises all of those checks.
         let metrics = measure_all(1);
-        assert_eq!(metrics.len(), 11);
+        assert_eq!(metrics.len(), 14);
         for m in &metrics {
             assert!(m.baseline_ns >= 0.0 && m.optimized_ns >= 0.0);
             assert!(m.ops_per_iter > 0);

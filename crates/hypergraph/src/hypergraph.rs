@@ -162,18 +162,21 @@ impl Hypergraph {
     }
 
     /// Adds an edge.  The universe grows automatically if the edge mentions a larger
-    /// vertex than any seen so far.
+    /// vertex than any seen so far, and every edge is kept grown to `num_vertices`.
+    ///
+    /// Cost: `O(words)` for the new edge; the `m` earlier edges are re-grown
+    /// (`O(m · words)`) only when the universe actually grows, so building `m` edges
+    /// over a known universe is linear.
     pub fn add_edge(&mut self, mut edge: VertexSet) {
         if let Some(max) = edge.max_vertex() {
             if max.index() >= self.num_vertices {
                 self.num_vertices = max.index() + 1;
+                for e in &mut self.edges {
+                    e.grow(self.num_vertices);
+                }
             }
         }
         edge.grow(self.num_vertices);
-        // Keep previously added edges compatible with the (possibly) larger universe.
-        for e in &mut self.edges {
-            e.grow(self.num_vertices);
-        }
         self.edges.push(edge);
         self.index = OnceCell::new();
     }
@@ -200,19 +203,21 @@ impl Hypergraph {
     /// Whether no hyperedge is contained in another (and there are no duplicates).
     ///
     /// This is the "simple hypergraph" / "irredundant DNF" condition of the paper.
+    /// Same cost as [`Hypergraph::minimize`].
     pub fn is_simple(&self) -> bool {
-        for (i, a) in self.edges.iter().enumerate() {
-            for (j, b) in self.edges.iter().enumerate() {
-                if i != j && a.is_subset(b) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.antichain().iter().all(|&kept| kept)
     }
 
     /// Validates simplicity, returning a typed error naming the offending pair.
+    ///
+    /// Cost: that of [`Hypergraph::is_simple`] when the family is simple.  On the
+    /// error path an `O(m²)` row-major scan names the pair: the smallest `contained`
+    /// index with some `container ≠ contained` and `E_contained ⊆ E_container`, and
+    /// the smallest such `container`.
     pub fn check_simple(&self) -> Result<(), HypergraphError> {
+        if self.is_simple() {
+            return Ok(());
+        }
         for (i, a) in self.edges.iter().enumerate() {
             for (j, b) in self.edges.iter().enumerate() {
                 if i != j && a.is_subset(b) {
@@ -228,24 +233,68 @@ impl Hypergraph {
 
     /// Returns the *minimization* of the hypergraph: inclusion-minimal edges only, with
     /// duplicates removed, in first-occurrence order.  (`min(H)` in the literature.)
+    ///
+    /// Cost: one sort of the `m` edges by `(size, set)`, `O(m log m)` set comparisons,
+    /// plus one subset test per pair of an edge and a kept edge of strictly smaller
+    /// size.  A family with a single edge size (every `threshold(n, k)`, every
+    /// matching) needs no subset test at all; the `O(m²)` worst case needs many
+    /// interleaved sizes.
     pub fn minimize(&self) -> Hypergraph {
-        let mut keep: Vec<VertexSet> = Vec::new();
-        'outer: for e in &self.edges {
-            let mut i = 0;
-            while i < keep.len() {
-                if keep[i].is_subset(e) {
-                    // An already kept edge is ⊆ e: e is redundant (also covers equality).
-                    continue 'outer;
-                }
-                if e.is_subset(&keep[i]) {
-                    keep.remove(i);
-                } else {
-                    i += 1;
+        let keep = self.antichain();
+        let edges = self
+            .edges
+            .iter()
+            .zip(&keep)
+            .filter(|&(_, &kept)| kept)
+            .map(|(e, _)| e.clone())
+            .collect();
+        Hypergraph::from_edge_vec(self.num_vertices, edges)
+    }
+
+    /// The antichain pass behind [`Hypergraph::minimize`] and [`Hypergraph::is_simple`]:
+    /// `keep[i]` holds exactly when edge `i` is the first occurrence of an
+    /// inclusion-minimal edge.
+    ///
+    /// Edges are visited by `(size, set, index)`.  An edge can only be a proper subset
+    /// of a strictly larger edge, so each edge is tested against the kept edges of
+    /// strictly smaller size only; duplicates are adjacent in the sort, where the
+    /// first (lowest-index) occurrence leads.
+    fn antichain(&self) -> Vec<bool> {
+        let edges = &self.edges;
+        // Sort keys `(size, members, index)`.  Members compare as their words with
+        // trailing zero words trimmed: equal sets get equal keys whatever their
+        // capacities, and any order consistent with equality will do.
+        let mut order: Vec<(usize, &[u64], usize)> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let words = e.as_words();
+                let used = words
+                    .iter()
+                    .rposition(|&w| w != 0)
+                    .map_or(0, |last| last + 1);
+                (e.len(), &words[..used], i)
+            })
+            .collect();
+        order.sort_unstable();
+        let mut keep = vec![false; edges.len()];
+        // `order[..class]` holds the edges strictly smaller than the current one.
+        let mut class = 0;
+        for at in 0..order.len() {
+            let (size, members, i) = order[at];
+            if at > 0 {
+                let (prev_size, prev_members, _) = order[at - 1];
+                if prev_size != size {
+                    class = at;
+                } else if prev_members == members {
+                    continue;
                 }
             }
-            keep.push(e.clone());
+            keep[i] = !order[..class]
+                .iter()
+                .any(|&(_, _, k)| keep[k] && edges[k].is_subset(&edges[i]));
         }
-        Hypergraph::from_edge_vec(self.num_vertices, keep)
+        keep
     }
 
     /// Returns a copy with edges sorted lexicographically (a canonical form useful for
@@ -487,6 +536,131 @@ mod tests {
         // {0,1} is absorbed by {1}
         assert!(!m.contains_edge(&vset![4; 0, 1]));
         assert_eq!(m.num_edges(), 2);
+    }
+
+    /// The quadratic `minimize` the antichain pass replaced: the reference the
+    /// property test below holds [`Hypergraph::minimize`] to.
+    fn reference_minimize(h: &Hypergraph) -> Vec<VertexSet> {
+        let mut keep: Vec<VertexSet> = Vec::new();
+        'outer: for e in h.edges() {
+            let mut i = 0;
+            while i < keep.len() {
+                if keep[i].is_subset(e) {
+                    continue 'outer;
+                }
+                if e.is_subset(&keep[i]) {
+                    keep.remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+            keep.push(e.clone());
+        }
+        keep
+    }
+
+    /// The row-major `check_simple` scan the antichain pass replaced.
+    fn reference_check_simple(h: &Hypergraph) -> Result<(), HypergraphError> {
+        for (i, a) in h.edges().iter().enumerate() {
+            for (j, b) in h.edges().iter().enumerate() {
+                if i != j && a.is_subset(b) {
+                    return Err(HypergraphError::NotSimple {
+                        contained: i,
+                        container: j,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A family over `0..n` driven by `spec`: each word either repeats an earlier
+    /// edge, shrinks or grows one (containments across sizes), or draws a fresh edge
+    /// of 0–5 vertices (0 gives the empty edge).
+    fn family_from_spec(n: usize, spec: &[u64]) -> Hypergraph {
+        let mut edges: Vec<VertexSet> = Vec::new();
+        for &w in spec {
+            let pick = (w >> 8) as usize;
+            let v = |salt: u64| Vertex::from((w.rotate_left(salt as u32 * 7) % n as u64) as usize);
+            let e = match (w % 4, edges.is_empty()) {
+                (0, false) => edges[pick % edges.len()].clone(),
+                (1, false) => {
+                    let base = &edges[pick % edges.len()];
+                    base.iter()
+                        .filter(|u| !(u.index() as u64 ^ w).is_multiple_of(3))
+                        .collect()
+                }
+                (2, false) => edges[pick % edges.len()].with(v(1)).with(v(2)),
+                _ => (0..(pick % 6) as u64).map(v).collect(),
+            };
+            edges.push(e);
+        }
+        Hypergraph::from_edges(n, edges)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn antichain_pass_matches_the_quadratic_reference(
+            n in 1..=130usize,
+            spec in proptest::collection::vec(0..u64::MAX, 0..=40usize),
+        ) {
+            let h = family_from_spec(n, &spec);
+            let m = h.minimize();
+            proptest::prop_assert_eq!(m.num_vertices(), h.num_vertices());
+            proptest::prop_assert_eq!(m.edges(), &reference_minimize(&h)[..]);
+            proptest::prop_assert_eq!(h.check_simple(), reference_check_simple(&h));
+            proptest::prop_assert_eq!(h.is_simple(), reference_check_simple(&h).is_ok());
+            proptest::prop_assert!(m.is_simple());
+        }
+
+        #[test]
+        fn add_edge_keeps_every_edge_grown_to_the_universe(
+            start in 0..=70usize,
+            spec in proptest::collection::vec(0..130usize, 0..=24usize),
+        ) {
+            let mut h = Hypergraph::new(start);
+            for (i, &top) in spec.iter().enumerate() {
+                // Each edge is allocated for its own members only, never the universe.
+                let members = [top, top / 2, (top / 3 + i % 2).min(top)];
+                h.add_edge(VertexSet::from_indices(top + 1, members));
+                for e in h.edges() {
+                    proptest::prop_assert_eq!(e.capacity(), h.num_vertices());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn antichain_pass_covers_both_set_representations() {
+        let inline = family_from_spec(40, &[3, 7 << 8 | 3, 1 << 8, 2, 5 << 8 | 1]);
+        let spilled = family_from_spec(130, &[3, 7 << 8 | 3, 1 << 8, 2, 5 << 8 | 1]);
+        assert!(inline.edges().iter().all(|e| e.as_bits().is_some()));
+        assert!(spilled.edges().iter().all(|e| e.as_bits().is_none()));
+        for h in [inline, spilled] {
+            assert_eq!(h.minimize().edges(), &reference_minimize(&h)[..]);
+            assert_eq!(h.check_simple(), reference_check_simple(&h));
+        }
+    }
+
+    #[test]
+    fn add_edge_regrows_earlier_edges_past_one_word() {
+        let mut h = Hypergraph::new(3);
+        h.add_edge(vset![2; 0, 1]);
+        h.add_edge(vset![3; 2]);
+        assert!(h.edges().iter().all(|e| e.capacity() == 3));
+        // A later edge pushes the universe from one inline word to spilled words.
+        h.add_edge(VertexSet::singleton(100, Vertex::new(99)));
+        assert_eq!(h.num_vertices(), 100);
+        for e in h.edges() {
+            assert_eq!(e.capacity(), 100);
+            assert!(e.as_bits().is_none(), "{e:?} must have spilled");
+        }
+        assert_eq!(h.edge(0).to_indices(), vec![0, 1]);
+        // The index arena is built over the grown rows.
+        assert_eq!(h.index().words_per_edge(), 2);
+        assert_eq!(h.edges_containing(Vertex::new(99)), &[2]);
     }
 
     #[test]

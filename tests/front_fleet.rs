@@ -674,14 +674,39 @@ fn stampede_across_sessions_reaches_a_shard_exactly_once() {
 /// Leader promotion at the router: when the flight leader's client cancels,
 /// a follower from another session is promoted — its own line is forwarded
 /// under the same flight key — and still gets the complete answer.
+///
+/// The leader outlives the cancel by construction, not by being slow: before
+/// it is sent, every worker of every shard is held by a streamed mine too
+/// large to finish (`2^10`–`2^11` border elements), each started directly on
+/// its shard.  The leader's job therefore waits in its shard's queue until
+/// the cancel has been acknowledged, and only then are the holders cancelled.
+/// A job cancelled in the queue never executes: the shard answers it with
+/// the `cancelled` error, the one error of the session.
 #[test]
 fn cancelled_leader_promotes_a_follower_session() {
     let front = TestFront::start("promote", 2);
     let rel = pair_complement_inline(5);
 
+    // Occupy both workers of both shards; a first chunk proves the holder's
+    // job is running on a worker.  Two sizes keep the keys (and so the
+    // executions) on one shard distinct.
+    let mut holders = Vec::new();
+    for shard in 0..front.fleet.shard_count() {
+        for pairs in [10, 11] {
+            let mut stream = front.fleet.connect(shard).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let big = pair_complement_inline(pairs);
+            writeln!(stream, "mine {big} z=0 full=true stream=1").unwrap();
+            let mut first = String::new();
+            reader.read_line(&mut first).unwrap();
+            assert!(first.contains("\"frame\":\"chunk\""), "{first}");
+            holders.push((stream, reader));
+        }
+    }
+
     // Session A leads the flight...
     let mut a = front.connect();
-    let a_reader = BufReader::new(a.try_clone().unwrap());
+    let mut a_reader = BufReader::new(a.try_clone().unwrap());
     writeln!(a, "mine {rel} z=0 full=true id=leader").unwrap();
     // Only once the router has registered A's flight may B's line race it:
     // otherwise B can reach the router first and lead instead.
@@ -708,25 +733,40 @@ fn cancelled_leader_promotes_a_follower_session() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // A cancels its own request: A gets the cancelled partial + the ack,
-    // while B's request is re-forwarded as the flight's new leader.
+    // A cancels its own request while the job is still queued: the shard
+    // acknowledges at once, and no worker is free to produce a terminal yet.
     writeln!(a, "cancel id=0").unwrap();
     a.shutdown(std::net::Shutdown::Write).unwrap();
-    let a_lines: Vec<String> = a_reader.lines().map(|l| l.unwrap()).collect();
-    // The cancelled terminal and the cancel ack may arrive in either order
-    // (the shard answers the ack independently of the dying mine).
-    assert_eq!(a_lines.len(), 2, "{a_lines:#?}");
+    let mut ack = String::new();
+    a_reader.read_line(&mut ack).unwrap();
     assert!(
-        a_lines
-            .iter()
-            .any(|l| l.starts_with("{\"id\":0,") && l.contains("\"halted\":\"cancelled\"")),
-        "{a_lines:#?}"
+        ack.contains("\"kind\":\"cancel\"") && ack.contains("\"cancelled\":true"),
+        "{ack}"
     );
+
+    // Release the workers.  Every holder was still running, so each one ends
+    // cancelled, never complete.
+    for (mut stream, reader) in holders {
+        writeln!(stream, "cancel id=0").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let tail: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+        assert!(
+            tail.iter()
+                .any(|l| l.contains("\"frame\":\"done\"") && l.contains("\"halted\":\"cancelled\"")),
+            "{tail:#?}"
+        );
+    }
+
+    // A's job never ran: its terminal is the queue-cancelled error, and B's
+    // request is re-forwarded as the flight's new leader.
+    let a_lines: Vec<String> = a_reader.lines().map(|l| l.unwrap()).collect();
+    assert_eq!(a_lines.len(), 1, "{a_lines:#?}");
+    let a_line = &a_lines[0];
+    assert!(a_line.starts_with("{\"id\":0,"), "{a_line}");
+    assert!(a_line.contains("\"halted\":\"cancelled\""), "{a_line}");
     assert!(
-        a_lines
-            .iter()
-            .any(|l| l.contains("\"kind\":\"cancel\"") && l.contains("\"cancelled\":true")),
-        "{a_lines:#?}"
+        a_line.contains("\"ok\":false,\"code\":\"cancelled\""),
+        "{a_line}"
     );
 
     // B rides out the promotion to a complete, uncancelled answer.
@@ -741,5 +781,8 @@ fn cancelled_leader_promotes_a_follower_session() {
     assert_eq!(front.router.coalesce_stats(), (1, 1));
 
     let summary = front.stop();
-    assert_eq!(summary.errors, 0);
+    assert_eq!(
+        summary.errors, 1,
+        "A's queue-cancelled leader is the only error"
+    );
 }
