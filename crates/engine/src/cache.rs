@@ -16,10 +16,10 @@
 //!
 //! **Stored keys are packed.**  A canonical key spells its whole instance and
 //! runs to kilobytes, so each entry keeps its key packed (`keypack`, about
-//! 2.7x smaller) under a 64-bit digest of the plain key.  A lookup only
-//! hashes the plain key and compares it against the one packed key filed
-//! under that digest; a different key with the same digest (a digest
-//! collision) is a miss, and storing it replaces the old entry.  An optional
+//! 2.7x smaller) under a 64-bit digest of the plain key.  A lookup
+//! compares the plain key against the one packed key filed under its
+//! digest; a different key with the same digest (a digest collision) is a
+//! miss, and storing it replaces the old entry.  An optional
 //! TTL additionally expires entries a fixed duration after they were stored;
 //! expired entries answer as misses and are removed on access.  All four
 //! outcomes — hit, miss, eviction, expiration — are counted and exposed via
@@ -27,14 +27,21 @@
 //! see `docs/WIRE.md`).
 //!
 //! **Pending flights.**  Executions still running are kept in a second map
-//! under the same mutex (see `engine/src/flight.rs`).  The engine's worker asks
-//! one question per job — `lookup`: a finished entry (hit), a running
-//! flight to join, or nothing (it leads a new flight) — and submission
-//! asks `join` so duplicates attach before they take a pool slot.  A flight
-//! settles by leaving the pending map and, if it ran to its natural end,
-//! entering the LRU map in the same critical section.  Pending keys are
+//! under the same mutex (see `engine/src/flight.rs`).  A key is hashed once,
+//! at submission, into a `CacheKey` that carries its digest; both maps
+//! file under that digest and confirm the key itself.  Submission asks one
+//! question per job — `admit`: a finished entry (answered on the spot), a
+//! running flight to join, or neither (queue the job).  The worker asks
+//! `lookup`, which answers the same first two and otherwise leads a new
+//! flight, catching entries and flights that appeared while the job waited.
+//! A flight settles by leaving the pending map and, if it ran to its natural
+//! end, entering the LRU map in the same critical section.  Pending keys are
 //! invisible to [`QueryCache::get`], [`QueryCache::stats`], eviction and
 //! snapshots, and a capacity-0 cache still coalesces.
+//!
+//! Every cacheable query is counted once: as a hit, or as a miss when it
+//! joins or leads a flight.  A job queued at submission is counted by the
+//! worker's `lookup`.
 
 use crate::flight::{Consumer, Flight, FlightLease};
 use crate::keypack;
@@ -102,9 +109,18 @@ struct Inner {
     recency: BTreeMap<u64, u64>,
     /// The generation clock; strictly increases on every touch.
     tick: u64,
-    /// Executions in flight, by key.  A natural end moves its key from here
-    /// into `map`.
-    flights: HashMap<Arc<str>, Arc<Flight>>,
+    /// Executions in flight, by key digest, each with its plain key.  A
+    /// natural end moves its key from here into `map`.
+    flights: HashMap<u64, (Arc<str>, Arc<Flight>)>,
+}
+
+/// A canonical key with its digest, computed once at submission
+/// ([`QueryCache::key`]) and carried with the job, so no lookup hashes the
+/// key again under the cache mutex.
+#[derive(Debug, Clone)]
+pub(crate) struct CacheKey {
+    pub(crate) digest: u64,
+    pub(crate) text: Arc<str>,
 }
 
 /// A shared, thread-safe LRU map from canonical request keys to finished
@@ -118,9 +134,8 @@ struct Inner {
 #[derive(Debug)]
 pub struct QueryCache {
     inner: Mutex<Inner>,
-    /// Keys the digests of stored keys (randomly, so crafted keys cannot
-    /// aim collisions at each other).
-    digests: RandomState,
+    /// The lane seeds of [`QueryCache::digest`], drawn at random per cache.
+    seeds: [u64; 4],
     capacity: usize,
     ttl: Option<Duration>,
     hits: AtomicU64,
@@ -133,6 +148,16 @@ pub struct QueryCache {
     led: AtomicU64,
     /// Followers attached to a running flight since construction.
     coalesced: AtomicU64,
+}
+
+/// What [`QueryCache::admit`] found for a job at submission.
+pub(crate) enum Admission {
+    /// A finished result: answer the job now, off the pool.
+    Hit(Arc<CachedResult>),
+    /// The job's consumer attached to the key's running flight.
+    Joined,
+    /// Nothing finished or joinable: queue the job (the worker leads).
+    Queue,
 }
 
 /// What [`QueryCache::lookup`] found for a worker's key.
@@ -169,7 +194,10 @@ impl QueryCache {
     pub fn with_limits(capacity: usize, ttl: Option<Duration>) -> Self {
         QueryCache {
             inner: Mutex::new(Inner::default()),
-            digests: RandomState::new(),
+            seeds: {
+                let random = RandomState::new();
+                [0u8, 1, 2, 3].map(|lane| random.hash_one(lane))
+            },
             capacity,
             ttl,
             hits: AtomicU64::new(0),
@@ -207,31 +235,69 @@ impl QueryCache {
         self.ttl.is_some_and(|ttl| entry.stored_at.elapsed() >= ttl)
     }
 
+    /// The 64-bit digest entries, flights and a session's parked duplicates
+    /// are filed under.  Keys run to kilobytes and every request hashes one,
+    /// so this is four seeded multiply-rotate lanes over 8-byte words rather
+    /// than SipHash (a quarter of the time on a 2-vCPU x86-64 VM: 0.2 µs
+    /// against 0.8 µs for a 1.7 KB key).  A collision, aimed or not, costs
+    /// at most a miss, the eviction of the other key or a wait behind an
+    /// unrelated request, never a wrong answer: every lookup confirms the
+    /// key itself.  (Flooding distinct keys evicts just as well.)
+    fn digest(&self, key: &str) -> u64 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut lanes = self.seeds;
+        lanes[0] ^= key.len() as u64;
+        let mut mix = |block: &[u8]| {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+                *lane = (lane.rotate_left(5) ^ word).wrapping_mul(K);
+            }
+        };
+        let mut blocks = key.as_bytes().chunks_exact(32);
+        blocks.by_ref().for_each(&mut mix);
+        let mut tail = [0u8; 32];
+        tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+        mix(&tail);
+        lanes.iter().fold(0, |hash, &lane| {
+            (hash.rotate_left(5) ^ lane).wrapping_mul(K)
+        })
+    }
+
+    /// A canonical key hashed for filing: the one place a key is hashed on
+    /// the request path.
+    pub(crate) fn key(&self, text: String) -> CacheKey {
+        CacheKey {
+            digest: self.digest(&text),
+            text: text.into(),
+        }
+    }
+
     /// Looks up a canonical key, counting the hit or miss.  A hit refreshes
     /// the entry's recency; an expired entry is removed and counts as a miss.
     /// The returned handle shares the stored result (no deep copy per hit).
     pub fn get(&self, key: &str) -> Option<Arc<CachedResult>> {
-        self.get_locked(&mut lock_ignoring_poison(&self.inner), key)
+        let digest = self.digest(key);
+        let hit = self.hit_locked(&mut lock_ignoring_poison(&self.inner), digest, key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
     }
 
-    /// [`QueryCache::get`] under the caller's lock.
-    fn get_locked(&self, inner: &mut Inner, key: &str) -> Option<Arc<CachedResult>> {
-        let digest = self.digests.hash_one(key);
+    /// The live entry for `key` (filed under `digest`), counted as a hit and
+    /// touched.  An expired entry is removed and counted as an expiration;
+    /// the caller counts the miss, if any.
+    fn hit_locked(&self, inner: &mut Inner, digest: u64, key: &str) -> Option<Arc<CachedResult>> {
         let Inner {
             map, recency, tick, ..
         } = inner;
-        let Some(entry) = map
+        let entry = map
             .get_mut(&digest)
-            .filter(|entry| keypack::equals(&entry.key, key.as_bytes()))
-        else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
+            .filter(|entry| keypack::equals(&entry.key, key.as_bytes()))?;
         if self.expired(entry) {
             recency.remove(&entry.tick);
             map.remove(&digest);
             self.expirations.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         // Touch: move the entry to the most-recent end of the recency index.
@@ -243,16 +309,43 @@ impl QueryCache {
         Some(Arc::clone(&entry.result))
     }
 
+    /// The running flight registered for `key`, if any.
+    fn pending<'a>(inner: &'a Inner, key: &CacheKey) -> Option<&'a Arc<Flight>> {
+        inner
+            .flights
+            .get(&key.digest)
+            .filter(|(text, _)| *text == key.text)
+            .map(|(_, flight)| flight)
+    }
+
+    /// Submission's one question about a key, in the critical section every
+    /// cached job takes anyway: a finished entry (counted as a hit), else
+    /// the key's running flight to join (a miss; `consumer` is only built
+    /// here), else nothing — the job is queued and its worker counts it.
+    pub(crate) fn admit(&self, key: &CacheKey, consumer: impl FnOnce() -> Consumer) -> Admission {
+        let mut inner = lock_ignoring_poison(&self.inner);
+        if let Some(hit) = self.hit_locked(&mut inner, key.digest, &key.text) {
+            return Admission::Hit(hit);
+        }
+        if Self::pending(&inner, key).is_some_and(|flight| flight.attach(consumer()).is_ok()) {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+            return Admission::Joined;
+        }
+        Admission::Queue
+    }
+
     /// The worker's one question about a key: a finished result (counted as
     /// a hit), else the key's running flight to join, else a new flight for
     /// `consumer` to lead (both counted as misses).  With coalescing off the
     /// new flight is private and a natural end is still installed.
-    pub(crate) fn lookup(self: &Arc<Self>, key: &str, consumer: Consumer) -> Lookup {
+    pub(crate) fn lookup(self: &Arc<Self>, key: &CacheKey, consumer: Consumer) -> Lookup {
         let mut inner = lock_ignoring_poison(&self.inner);
-        if let Some(hit) = self.get_locked(&mut inner, key) {
+        if let Some(hit) = self.hit_locked(&mut inner, key.digest, &key.text) {
             return Lookup::Hit(hit, consumer);
         }
-        let consumer = match inner.flights.get(key) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let consumer = match Self::pending(&inner, key) {
             Some(flight) => match flight.attach(consumer) {
                 Ok(()) => {
                     self.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -262,51 +355,41 @@ impl QueryCache {
             },
             None => consumer,
         };
-        let key: Arc<str> = key.into();
         let flight = Flight::new(consumer, self.coalesce);
         if self.coalesce {
             // A flight that stopped early may still be registered while its
             // leader settles; it is replaced, and its lease removes by
             // identity.
-            inner.flights.insert(Arc::clone(&key), Arc::clone(&flight));
+            let pending = (Arc::clone(&key.text), Arc::clone(&flight));
+            inner.flights.insert(key.digest, pending);
             self.led.fetch_add(1, Ordering::Relaxed);
         }
-        Lookup::Lead(FlightLease::new(Some((Arc::clone(self), key)), flight))
-    }
-
-    /// Attaches a duplicate to the key's running flight at submission
-    /// (`consumer` is only built on a join); `false` means the caller must
-    /// submit the request itself.
-    pub(crate) fn join(&self, key: &str, consumer: impl FnOnce() -> Consumer) -> bool {
-        if !self.coalesce {
-            return false;
-        }
-        let inner = lock_ignoring_poison(&self.inner);
-        let joined = inner
-            .flights
-            .get(key)
-            .is_some_and(|flight| flight.attach(consumer()).is_ok());
-        if joined {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        joined
+        Lookup::Lead(FlightLease::new(
+            Some((Arc::clone(self), key.clone())),
+            flight,
+        ))
     }
 
     /// Retires `flight` from the pending map (if it is still the key's) and
     /// installs `result` — one critical section, so a lookup finds either
     /// the flight or the finished entry, never neither.
-    pub(crate) fn settle(&self, key: Arc<str>, flight: &Arc<Flight>, result: Option<CachedResult>) {
-        let filed = result.map(|result| (self.file(&key), Arc::new(result)));
+    pub(crate) fn settle(
+        &self,
+        key: &CacheKey,
+        flight: &Arc<Flight>,
+        result: Option<CachedResult>,
+    ) {
+        let filed = result.map(|result| (keypack::pack(key.text.as_bytes()), Arc::new(result)));
         let mut inner = lock_ignoring_poison(&self.inner);
         if inner
             .flights
-            .get(&key)
-            .is_some_and(|pending| Arc::ptr_eq(pending, flight))
+            .get(&key.digest)
+            .is_some_and(|(_, pending)| Arc::ptr_eq(pending, flight))
         {
-            inner.flights.remove(&key);
+            inner.flights.remove(&key.digest);
         }
-        if let Some((filed, result)) = filed {
-            self.insert_locked(&mut inner, filed, result, Instant::now());
+        if let Some((packed, result)) = filed {
+            self.insert_locked(&mut inner, (key.digest, packed), result, Instant::now());
         }
     }
 
@@ -333,7 +416,7 @@ impl QueryCache {
     /// key.  Computed before taking the lock, since packing a kilobyte key
     /// takes microseconds.
     fn file(&self, key: &str) -> (u64, Box<[u8]>) {
-        (self.digests.hash_one(key), keypack::pack(key.as_bytes()))
+        (self.digest(key), keypack::pack(key.as_bytes()))
     }
 
     /// [`QueryCache::insert`] under the caller's lock.
@@ -689,7 +772,7 @@ mod tests {
 
     /// Looks `key` up, expecting to lead its flight.
     fn lead(cache: &Arc<QueryCache>, key: &str, tx: &Sender<StreamEvent>) -> FlightLease {
-        match cache.lookup(key, consumer(tx)) {
+        match cache.lookup(&cache.key(key.into()), consumer(tx)) {
             Lookup::Lead(lease) => lease,
             Lookup::Hit(..) => panic!("{key}: expected to lead, got a hit"),
             Lookup::Joined => panic!("{key}: expected to lead, joined"),
@@ -697,7 +780,10 @@ mod tests {
     }
 
     fn joins(cache: &Arc<QueryCache>, key: &str, tx: &Sender<StreamEvent>) -> bool {
-        matches!(cache.lookup(key, consumer(tx)), Lookup::Joined)
+        matches!(
+            cache.lookup(&cache.key(key.into()), consumer(tx)),
+            Lookup::Joined
+        )
     }
 
     fn settle(lease: FlightLease, halted: Option<StopReason>) {
@@ -749,7 +835,8 @@ mod tests {
         let (tx, _rx) = channel();
         let cache = Arc::new(QueryCache::with_capacity(8));
         settle(lead(&cache, "k", &tx), None);
-        assert!(matches!(cache.lookup("k", consumer(&tx)), Lookup::Hit(..)));
+        let key = cache.key("k".into());
+        assert!(matches!(cache.lookup(&key, consumer(&tx)), Lookup::Hit(..)));
         assert_eq!(cache.coalesce_stats(), (1, 0));
     }
 

@@ -17,7 +17,7 @@
 //! through a bounded buffer, `arrival` order streams each response the moment
 //! it completes so one slow request never head-of-line-blocks the rest.
 
-use crate::cache::{CacheStats, Lookup, QueryCache};
+use crate::cache::{Admission, CacheKey, CacheStats, CachedResult, Lookup, QueryCache};
 use crate::fairness::UserBuckets;
 use crate::flight::{Consumer, FlightLease};
 use crate::ops;
@@ -248,10 +248,10 @@ pub(crate) struct PoolJob {
     /// Where the executing worker sends chunk frames and the terminal
     /// response.
     pub(crate) reply: ReplySender,
-    /// The canonical cache key, rendered once at submission
-    /// ([`PoolLink::cache_key`]); `None` for control payloads or with the
-    /// cache off.
-    pub(crate) key: Option<String>,
+    /// The canonical cache key and its digest, rendered and hashed once at
+    /// submission ([`PoolLink::cache_key`]); `None` for control payloads or
+    /// with the cache off.
+    pub(crate) key: Option<CacheKey>,
 }
 
 /// Where a job's frames go: a delivery function supplied by the submitting
@@ -350,10 +350,10 @@ impl PoolLink {
     /// The canonical cache key of a query payload — the request's cache key
     /// plus the `solver=` override suffix (an override changes which
     /// solver's telemetry the caller sees, so it gets its own entry).  The
-    /// one place a key is rendered; `None` for control payloads or with the
-    /// cache off.
-    fn cache_key(&self, payload: &Payload) -> Option<String> {
-        self.cache.as_ref()?;
+    /// one place a key is rendered and hashed; `None` for control payloads
+    /// or with the cache off.
+    fn cache_key(&self, payload: &Payload) -> Option<CacheKey> {
+        let cache = self.cache.as_ref()?;
         let Payload::Query { request, solver } = payload else {
             return None;
         };
@@ -362,7 +362,7 @@ impl PoolLink {
             key.push_str(" solver=");
             key.push_str(kind.name());
         }
-        Some(key)
+        Some(cache.key(key))
     }
 
     /// Whether identical requests share executions (cache and coalescing
@@ -372,16 +372,26 @@ impl PoolLink {
     }
 
     /// Hands one job to the engine; every job enters here.  A job whose
-    /// cache key matches an execution already in flight attaches to it as a
-    /// follower and takes no pool slot.  Any other job joins the shared
+    /// cache key has a finished entry is answered right here, on the
+    /// submitting thread: no pool slot, no `inflight` count, `worker` 0.  A
+    /// job whose key matches an execution already in flight attaches to it
+    /// as a follower and takes no pool slot.  Any other job joins the shared
     /// queue: when `blocking`, the call waits while the queue is full;
     /// otherwise a full queue hands the job back (`Some`) for a later retry.
     fn submit(&self, job: PoolJob, blocking: bool) -> Option<PoolJob> {
         if let (Some(cache), Some(key), Payload::Query { request, .. }) =
             (&self.cache, &job.key, &job.payload)
         {
-            if cache.join(key, || Consumer::new(&job, request.kind())) {
-                return None;
+            let started = Instant::now();
+            let consumer = || Consumer::new(&job, request.kind());
+            match cache.admit(key, consumer) {
+                Admission::Hit(hit) => {
+                    let response = hit_response(consumer(), &hit, started, 0);
+                    job.reply.send(StreamEvent::Done(response));
+                    return None;
+                }
+                Admission::Joined => return None,
+                Admission::Queue => {}
             }
         }
         // Count before sending: a fast worker may settle the job first.
@@ -872,32 +882,6 @@ fn drive<W: Write>(
     read_error.or_else(|| output.flush().err())
 }
 
-/// The 64-bit digest a session keeps per in-flight request instead of a
-/// second copy of its cache key.  A collision only makes a request wait
-/// for an unrelated one; it never changes an answer, so a cheap mix will do.
-/// Keys run to kilobytes, and this sits on every submission: four
-/// independent FxHash-style lanes over 8-byte words keep the multiply chain
-/// short (about 0.8 µs for a 12 KB key on a 2-vCPU x86-64 VM, against
-/// 3.8 µs for SipHash).
-fn key_hash(key: &str) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mut lanes = [key.len() as u64, 1, 2, 3];
-    let mut mix = |block: &[u8]| {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-            *lane = (lane.rotate_left(5) ^ word).wrapping_mul(K);
-        }
-    };
-    let mut blocks = key.as_bytes().chunks_exact(32);
-    blocks.by_ref().for_each(&mut mix);
-    let mut tail = [0u8; 32];
-    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
-    mix(&tail);
-    lanes.iter().fold(0, |hash, &lane| {
-        (hash.rotate_left(5) ^ lane).wrapping_mul(K)
-    })
-}
-
 /// Whether [`SessionMux::feed_line`] consumed a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MuxFeed {
@@ -996,8 +980,8 @@ impl MuxOutput for Vec<Option<Response>> {
 struct InFlight {
     /// What a `cancel id=N` naming this request raises.
     cancel: CancelToken,
-    /// [`key_hash`] of its cache key, when duplicates park behind it.
-    key_hash: Option<u64>,
+    /// The digest of its cache key, when duplicates park behind it.
+    digest: Option<u64>,
 }
 
 /// One session: the engine's only implementation of session semantics,
@@ -1020,10 +1004,11 @@ struct InFlight {
 ///
 /// **Same-session duplicates.**  A request whose cache key matches one of
 /// the session's own requests still in flight waits here, parked, until
-/// that request's terminal arrives.  It is then submitted, and the cache
-/// answers it.  A parked request takes no pool slot, but it counts toward
-/// `--max-inflight` and can be cancelled.  Requests from different sessions
-/// still coalesce through the cache's pending flights.
+/// that request's terminal arrives.  It is then submitted, and answered at
+/// submission from the cache if the entry is still there.  A parked request
+/// takes no pool slot, but it counts toward `--max-inflight` and can be
+/// cancelled.  Requests from different sessions still coalesce through the
+/// cache's pending flights.
 pub(crate) struct SessionMux {
     pool: Arc<PoolLink>,
     blocking: bool,
@@ -1048,8 +1033,8 @@ pub(crate) struct SessionMux {
     /// a request absent here is emitted the moment it is answered.
     positions: HashMap<u64, u64>,
     inflight: HashMap<u64, InFlight>,
-    /// Same-session duplicates parked per cache-key hash.  An entry exists
-    /// while a request with that hash is submitted.
+    /// Same-session duplicates parked per cache-key digest.  An entry exists
+    /// while a request with that digest is submitted.
     waiting: HashMap<u64, VecDeque<PoolJob>>,
     /// Admitted jobs the full pool queue refused (non-blocking mode only).
     backlog: VecDeque<PoolJob>,
@@ -1131,17 +1116,18 @@ impl SessionMux {
             }
         }
         let key = self.pool.cache_key(&payload);
-        // Same-session duplicates park only where they could coalesce.
-        let hash = key
-            .as_deref()
+        // Same-session duplicates park only where they could coalesce.  A
+        // digest collision only makes a request wait for an unrelated one.
+        let digest = key
+            .as_ref()
             .filter(|_| self.pool.coalesces())
-            .map(key_hash);
+            .map(|key| key.digest);
         let cancel = CancelToken::new();
         self.inflight.insert(
             seq,
             InFlight {
                 cancel: cancel.clone(),
-                key_hash: hash,
+                digest,
             },
         );
         let job = PoolJob {
@@ -1154,7 +1140,7 @@ impl SessionMux {
             reply: self.reply.clone(),
             key,
         };
-        match hash.map(|hash| self.waiting.entry(hash)) {
+        match digest.map(|digest| self.waiting.entry(digest)) {
             Some(Entry::Occupied(mut parked)) => parked.get_mut().push_back(job),
             Some(Entry::Vacant(slot)) => {
                 slot.insert(VecDeque::new());
@@ -1195,11 +1181,11 @@ impl SessionMux {
             StreamEvent::Chunk(frame) => out.chunk(frame),
             StreamEvent::Done(response) => {
                 if let Some(InFlight {
-                    key_hash: Some(hash),
+                    digest: Some(digest),
                     ..
                 }) = self.inflight.remove(&response.id)
                 {
-                    self.release(hash);
+                    self.release(digest);
                 }
                 self.finish(response, out);
             }
@@ -1250,15 +1236,15 @@ impl SessionMux {
 
     /// Passes a finished request's key on to the next parked duplicate.  The
     /// worker caches a result before it sends the terminal, so the duplicate
-    /// is answered from the cache.
-    fn release(&mut self, hash: u64) {
-        let Some(parked) = self.waiting.get_mut(&hash) else {
+    /// is answered at submission unless the entry was evicted meanwhile.
+    fn release(&mut self, digest: u64) {
+        let Some(parked) = self.waiting.get_mut(&digest) else {
             return;
         };
         match parked.pop_front() {
             Some(next) => self.dispatch(next),
             None => {
-                self.waiting.remove(&hash);
+                self.waiting.remove(&digest);
             }
         }
     }
@@ -1516,8 +1502,31 @@ fn answer(ctx: &WorkerCtx, worker_index: usize, job: &PoolJob) -> Option<Respons
     }
 }
 
-/// Executes one typed query on a worker: one cache lookup (a hit replays
-/// the cached outcome, chunk by chunk for streamed requests), then the
+/// The terminal of a cache hit: the stored outcome replayed through the
+/// request's own consumer (chunk by chunk for a streamed request, cut short
+/// by its cancel or item quota), with the first execution's telemetry.
+/// `micros` covers the lookup and the replay.  Submission (`worker` 0) and
+/// the worker's lookup both answer hits here.
+fn hit_response(
+    mut consumer: Consumer,
+    hit: &CachedResult,
+    started: Instant,
+    worker: usize,
+) -> Response {
+    let (outcome, halted) = consumer.replay(&hit.outcome);
+    let stats = RequestStats {
+        micros: started.elapsed().as_micros(),
+        peak_bits: hit.info.peak_bits,
+        solver: hit.info.solver.clone(),
+        duality_calls: hit.info.duality_calls,
+        cache_hit: true,
+        worker,
+    };
+    consumer.response(outcome, halted, stats)
+}
+
+/// Executes one typed query on a worker: one cache lookup (a hit that
+/// appeared while the job waited is answered by [`hit_response`]), then the
 /// execution as its flight's leader, then the settle step.  `None` means
 /// the job joined a running flight as a follower — the flight owns its
 /// delivery and the worker moves on to the next job.
@@ -1533,17 +1542,8 @@ fn process_one(
     let mut lease = match &job.key {
         None => FlightLease::private(consumer),
         Some(key) => match ctx.cache.lookup(key, consumer) {
-            Lookup::Hit(hit, mut consumer) => {
-                let (outcome, halted) = consumer.replay(&hit.outcome);
-                let stats = RequestStats {
-                    micros: started.elapsed().as_micros(),
-                    peak_bits: hit.info.peak_bits,
-                    solver: hit.info.solver.clone(),
-                    duality_calls: hit.info.duality_calls,
-                    cache_hit: true,
-                    worker,
-                };
-                return Some(consumer.response(outcome, halted, stats));
+            Lookup::Hit(hit, consumer) => {
+                return Some(hit_response(consumer, &hit, started, worker));
             }
             Lookup::Joined => {
                 // A follower occupies no pool slot.
@@ -1973,14 +1973,111 @@ keys 1,2;1,3
         let b = generators::matching_instance(3);
         let req_a = Request::DecideDuality { g: a.g, h: a.h };
         let req_b = Request::DecideDuality { g: b.g, h: b.h };
-        // a, b (evicts a), a (evicts b, recomputed), a (hit)
-        let responses = eng.run_batch(vec![req_a.clone(), req_b, req_a.clone(), req_a]);
+        // a, b (evicts a), a (evicts b, recomputed), a (hit) — one at a
+        // time, so each request sees the cache its predecessor left.
+        let responses: Vec<Response> = [req_a.clone(), req_b, req_a.clone(), req_a]
+            .into_iter()
+            .map(|request| eng.run_one(request))
+            .collect();
         assert!(responses.iter().all(|r| r.is_ok()));
         let stats = eng.cache_stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 2);
         assert_eq!(stats.hits, 1);
         assert!(responses[3].stats.cache_hit);
+    }
+
+    /// Submits a streamed `enumerate` of matching(3) straight through
+    /// [`PoolLink::submit`] and returns the events delivered before the call
+    /// returned.  The reply path raises the job's cancel token once
+    /// `cancel_after` chunks went out.
+    fn submit_streamed(
+        eng: &Engine,
+        max_items: Option<u64>,
+        cancel_after: Option<u64>,
+    ) -> Vec<StreamEvent> {
+        let li = generators::matching_instance(3);
+        let payload = Payload::Query {
+            request: Request::EnumerateTransversals {
+                g: li.g,
+                limit: None,
+            },
+            solver: None,
+        };
+        let cancel = CancelToken::new();
+        let (tx, rx) = mpsc::channel();
+        let reply = {
+            let cancel = cancel.clone();
+            let chunks = AtomicU64::new(0);
+            ReplySender::new(move |event| {
+                let chunk = matches!(event, StreamEvent::Chunk(_));
+                let delivered = tx.send(event).is_ok();
+                if chunk && Some(chunks.fetch_add(1, Ordering::SeqCst) + 1) == cancel_after {
+                    cancel.cancel();
+                }
+                delivered
+            })
+        };
+        let pool = eng.pool();
+        let job = PoolJob {
+            seq: 0,
+            client_id: None,
+            key: pool.cache_key(&payload),
+            payload,
+            stream: true,
+            cancel,
+            max_items,
+            reply,
+        };
+        assert!(pool.submit(job, true).is_none());
+        rx.try_iter().collect()
+    }
+
+    #[test]
+    fn streamed_hits_at_submission_truncate_like_a_worker_replay() {
+        let eng = engine(1, true);
+        let li = generators::matching_instance(3);
+        let request = Request::EnumerateTransversals {
+            g: li.g,
+            limit: None,
+        };
+        let warm = eng.run_one(request);
+        let Ok(Outcome::Transversals { transversals, .. }) = &warm.outcome else {
+            panic!("{warm:?}");
+        };
+        for (max_items, cancel_after, halted) in [
+            (Some(3), None, StopReason::ItemQuota),
+            (None, Some(2), StopReason::Cancelled),
+            (None, Some(1), StopReason::Cancelled),
+        ] {
+            let k = max_items.or(cancel_after).unwrap();
+            // Every frame was delivered before `submit` returned: the hit
+            // never waited for a worker.
+            let events = submit_streamed(&eng, max_items, cancel_after);
+            let (done, chunks) = events.split_last().expect("frames");
+            let seqs: Vec<u64> = chunks
+                .iter()
+                .map(|event| match event {
+                    StreamEvent::Chunk(frame) => frame.seq,
+                    StreamEvent::Done(_) => panic!("one terminal, last"),
+                })
+                .collect();
+            assert_eq!(seqs, (0..k).collect::<Vec<_>>());
+            let StreamEvent::Done(done) = done else {
+                panic!("the last frame is the terminal");
+            };
+            assert_eq!(done.chunks, Some(k));
+            assert_eq!(done.halted, Some(halted));
+            assert!(done.stats.cache_hit && done.stats.worker == 0);
+            assert_eq!(
+                done.outcome,
+                Ok(Outcome::Transversals {
+                    transversals: transversals[..k as usize].to_vec(),
+                    complete: false,
+                })
+            );
+        }
+        assert_eq!(eng.cache_stats().hits, 3);
     }
 
     /// A reader that yields one request line, then holds the input open until

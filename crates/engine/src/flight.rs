@@ -35,18 +35,22 @@
 //! then delivers the followers' terminals; the leader's terminal leaves
 //! after that.  A duplicate therefore always finds either the flight or the
 //! cache entry, and anything that waits for a terminal before re-asking
-//! (the session's parked duplicates) is answered from the cache.
+//! (the session's parked duplicates) is answered from the cache if the
+//! entry is still there when it re-asks.
 //!
-//! Joins happen at two levels: `PoolLink::submit`, the one place every job
-//! enters the engine, attaches before a duplicate ever occupies a pool slot
-//! (`QueryCache::join`), and the worker's lookup catches duplicates that
-//! raced past it.  Duplicates *within* one session never get this far: the
-//! session parks them behind their leader (see `SessionMux`).  Requests with
-//! the cache off, or with coalescing off, run as private flights that
-//! nobody can join.  `qld front` adds a router-level tier for one-shot
-//! duplicates across client sessions (see `crates/front/src/coalesce.rs`).
+//! Submission answers first: `PoolLink::submit`, the one place every job
+//! enters the engine, asks `QueryCache::admit` — a finished entry is
+//! replayed on the submitting thread, a running flight is joined before the
+//! duplicate ever occupies a pool slot, and anything else is queued.  The
+//! worker's lookup then catches entries and flights that appeared while
+//! the job waited; only the worker leads.  Duplicates *within* one session
+//! never get this far: the session parks them behind their leader (see
+//! `SessionMux`).  Requests with the cache off, or with coalescing off, run
+//! as private flights that nobody can join.  `qld front` adds a
+//! router-level tier for one-shot duplicates across client sessions (see
+//! `crates/front/src/coalesce.rs`).
 
-use crate::cache::{CachedResult, QueryCache};
+use crate::cache::{CacheKey, CachedResult, QueryCache};
 use crate::engine::{PoolJob, ReplySender};
 use crate::lock_ignoring_poison;
 use crate::ops::ExecInfo;
@@ -406,14 +410,14 @@ impl FlightState {
 pub(crate) struct FlightLease {
     /// The cache and key the result settles into (`None` when the request
     /// is not cached).
-    home: Option<(Arc<QueryCache>, Arc<str>)>,
+    home: Option<(Arc<QueryCache>, CacheKey)>,
     flight: Arc<Flight>,
     settled: bool,
 }
 
 impl FlightLease {
     /// A lease on `flight`, settling into `home`.
-    pub(crate) fn new(home: Option<(Arc<QueryCache>, Arc<str>)>, flight: Arc<Flight>) -> Self {
+    pub(crate) fn new(home: Option<(Arc<QueryCache>, CacheKey)>, flight: Arc<Flight>) -> Self {
         FlightLease {
             home,
             flight,
@@ -446,7 +450,7 @@ impl FlightLease {
                 outcome: outcome.clone(),
                 info,
             });
-            cache.settle(key, &self.flight, result);
+            cache.settle(&key, &self.flight, result);
         }
         let mut state = lock_ignoring_poison(&self.flight.state);
         state.deliver(&outcome, halted, &stats);
@@ -483,7 +487,7 @@ impl Drop for FlightLease {
             return;
         }
         if let Some((cache, key)) = self.home.take() {
-            cache.settle(key, &self.flight, None);
+            cache.settle(&key, &self.flight, None);
         }
         let outcome = Err(EngineError::internal(
             "the coalesced leader execution failed; retry the request",

@@ -64,9 +64,11 @@ pub struct SizeThresholdPolicy {
 
 impl Default for SizeThresholdPolicy {
     fn default() -> Self {
-        // The explicit tree is consistently fastest on the laptop-scale corpus
-        // (E4); the quadratic-logspace DFS takes over where materializing the
-        // tree starts to hurt.
+        // An uncalibrated cut: the explicit tree for small instances, the
+        // quadratic-logspace DFS where materializing the tree starts to
+        // hurt.  E4 does not single out the tree: Berge (not a `SolverKind`)
+        // is fastest on its dual rows, and on non-dual rows the tree and
+        // the DFS each win some (ROADMAP item 6).
         SizeThresholdPolicy {
             volume_threshold: 96,
         }

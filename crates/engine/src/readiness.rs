@@ -8,7 +8,8 @@
 //! read/write buffer pair), readiness comes from the raw-syscall `epoll`
 //! shim, and solver work still runs on the engine's shared worker pool —
 //! workers hand results back through each session's reply channel and poke
-//! the loop's self-pipe waker.
+//! the loop's self-pipe waker.  A cache hit is answered on this thread, at
+//! submission, and leaves in the same service pass that read its line.
 //!
 //! Backpressure is explicit at every boundary:
 //!
@@ -180,15 +181,15 @@ enum Verdict {
 
 impl<S: ReadyStream> Conn<S> {
     /// One full service pass: drain worker replies, read and feed input,
-    /// flush output, then decide whether the connection stays.
+    /// drain again (cache hits answered while the lines were fed), flush
+    /// output, then decide whether the connection stays.
     fn service(&mut self, can_read: bool) -> Verdict {
-        while let Ok(event) = self.replies.try_recv() {
-            self.mux.on_event(event, &mut self.out);
-        }
+        self.drain_replies();
         if can_read && !self.read_closed && !self.failed && !self.stalled {
             self.fill_read_buf();
         }
         self.process_lines();
+        self.drain_replies();
         self.flush();
         if !self.failed && self.unsent() > self.write_cap {
             // The consumer is not keeping up by an entire cap's worth of
@@ -203,6 +204,13 @@ impl<S: ReadyStream> Conn<S> {
             return Verdict::Close;
         }
         Verdict::Keep
+    }
+
+    /// Applies every reply the session has received so far.
+    fn drain_replies(&mut self) {
+        while let Ok(event) = self.replies.try_recv() {
+            self.mux.on_event(event, &mut self.out);
+        }
     }
 
     /// Reads up to [`READ_BURST`] bytes without blocking.
@@ -493,9 +501,12 @@ fn accept_burst<L: ReadyListener>(
         *next_token += 1;
         let (reply_tx, reply_rx) = mpsc::channel::<StreamEvent>();
         let wake = Arc::clone(waker);
+        let loop_thread = std::thread::current().id();
         let reply = ReplySender::new(move |event| {
             let delivered = reply_tx.send(event).is_ok();
-            if delivered {
+            // A reply sent on the loop thread (a cache hit answered at
+            // submission) is drained by the service pass that sent it.
+            if delivered && std::thread::current().id() != loop_thread {
                 wake.wake(token);
             }
             delivered
@@ -534,6 +545,7 @@ mod tests {
     use crate::engine::{Engine, EngineConfig, ServeOptions};
     use crate::policy::{SolverKind, SolverPolicy};
     use crate::transport::SocketServer;
+    use crate::wire::{self, Command};
     use qld_hypergraph::Hypergraph;
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
@@ -545,6 +557,25 @@ mod tests {
     struct Gate {
         entered: AtomicU64,
         open: AtomicBool,
+        /// Decisions that got through.
+        left: AtomicU64,
+    }
+
+    impl Gate {
+        fn new(open: bool) -> Arc<Gate> {
+            Arc::new(Gate {
+                entered: AtomicU64::new(0),
+                open: AtomicBool::new(open),
+                left: AtomicU64::new(0),
+            })
+        }
+
+        /// Decisions held at the gate right now (`left` is read first, so
+        /// the difference cannot underflow).
+        fn held(&self) -> u64 {
+            let left = self.left.load(Ordering::SeqCst);
+            self.entered.load(Ordering::SeqCst) - left
+        }
     }
 
     impl SolverPolicy for Gate {
@@ -554,6 +585,7 @@ mod tests {
             while !self.open.load(Ordering::SeqCst) && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(1));
             }
+            self.left.fetch_add(1, Ordering::SeqCst);
             SolverKind::BmTree
         }
 
@@ -572,10 +604,7 @@ mod tests {
     fn a_job_refused_by_the_full_queue_is_retried() {
         let path = std::env::temp_dir().join(format!("qld-backlog-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let gate = Arc::new(Gate {
-            entered: AtomicU64::new(0),
-            open: AtomicBool::new(false),
-        });
+        let gate = Gate::new(false);
         let engine = Arc::new(Engine::new(EngineConfig {
             workers: 1,
             queue_capacity: 1,
@@ -620,6 +649,79 @@ mod tests {
         for _ in 0..2 {
             assert!(read_line(&mut a_reader).contains("\"dual\":true"));
         }
+        shutdown.shutdown();
+        runner.join().unwrap().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_cached_key_is_answered_while_every_worker_is_held() {
+        let path = std::env::temp_dir().join(format!("qld-held-hit-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let gate = Gate::new(true);
+        let engine = Arc::new(Engine::new(EngineConfig {
+            workers: 2,
+            policy: Arc::clone(&gate) as Arc<dyn SolverPolicy>,
+            ..EngineConfig::default()
+        }));
+        let server = SocketServer::bind(&path).unwrap();
+        let shutdown = server.shutdown_handle();
+        let runner = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || server.run(&engine, ServeOptions::default()))
+        };
+
+        // Warm the cache through one session while the gate is open.
+        let mut a = UnixStream::connect(&path).unwrap();
+        a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut a_reader = BufReader::new(a.try_clone().unwrap());
+        a.write_all(b"check 0,1;2,3 0,2;0,3;1,2;1,3\n").unwrap();
+        let warm = read_line(&mut a_reader);
+        assert!(warm.contains("\"cache_hit\":false"), "{warm}");
+
+        // Hold both workers with two uncached checks from a second session.
+        gate.open.store(false, Ordering::SeqCst);
+        let mut b = UnixStream::connect(&path).unwrap();
+        b.write_all(
+            b"check 0,1;2,3;4,5 0,2,4;0,2,5;0,3,4;0,3,5;1,2,4;1,2,5;1,3,4;1,3,5\ncheck 0,1 0;1\n",
+        )
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gate.held() < 2 {
+            assert!(Instant::now() < deadline, "the workers were never held");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let through = gate.left.load(Ordering::SeqCst);
+
+        // A permuted spelling of the warm key, over the socket and through a
+        // batch, is answered with no worker free.
+        a.write_all(b"check 2,3;0,1 1,3;1,2;0,3;0,2 id=hot\n")
+            .unwrap();
+        let hot = read_line(&mut a_reader);
+        assert!(hot.contains("\"client_id\":\"hot\""), "{hot}");
+        assert!(hot.contains("\"dual\":true"), "{hot}");
+        assert!(hot.contains("\"cache_hit\":true"), "{hot}");
+        assert!(hot.contains("\"worker\":0"), "{hot}");
+        let Ok(Command::Query(request)) =
+            wire::parse_line("check 0,1;2,3 1,3;0,2;1,2;0,3").map(|parsed| parsed.command)
+        else {
+            panic!("the check parses");
+        };
+        let batch = engine.run_batch(vec![request]);
+        assert!(
+            batch[0].stats.cache_hit && batch[0].stats.worker == 0,
+            "{batch:?}"
+        );
+        assert_eq!(gate.held(), 2, "both workers were still held");
+        assert_eq!(gate.left.load(Ordering::SeqCst), through);
+
+        gate.open.store(true, Ordering::SeqCst);
+        b.shutdown(std::net::Shutdown::Write).unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let held: Vec<String> = BufReader::new(b).lines().map(Result::unwrap).collect();
+        assert_eq!(held.len(), 2, "{held:?}");
+        assert!(held.iter().all(|line| line.contains("\"cache_hit\":false")));
+        drop(a);
         shutdown.shutdown();
         runner.join().unwrap().unwrap();
         let _ = std::fs::remove_file(&path);

@@ -399,3 +399,64 @@ fn no_coalesce_disables_the_flight_layer_but_keeps_the_cache() {
     assert_eq!(policy.calls(), 2, "two executions");
     assert_eq!(eng.coalesce_stats(), (0, 0));
 }
+
+#[test]
+fn every_cacheable_query_is_counted_once_in_a_mixed_session() {
+    let eng = Engine::with_defaults();
+    // Eight queries: five first asks (misses) and three same-session
+    // duplicates (each parks behind its leader, then hits at submission).
+    // `stats`, a malformed line and a `cancel` are not cacheable.
+    let input = "\
+check 0,1;2,3 0,2;0,3;1,2;1,3
+check 2,3;0,1 1,3;1,2;0,3;0,2 id=dup
+enumerate 0,1;2,3;4,5 stream=1
+enumerate 4,5;0,1;2,3 stream=1 id=dup-stream
+stats
+frobnicate
+cancel id=99
+keys 1,2;1,3
+keys 1,3;1,2 id=dup-keys
+mine n=3:0,1;1,2;0,2 z=1
+check 0,1;2,3 0,2;0,3;1,2;1,3 solver=bm-tree
+";
+    let mut out = Vec::new();
+    let summary = eng.serve(input.as_bytes(), &mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    assert_eq!(summary.requests, 11, "{text}");
+    assert_eq!(summary.errors, 1, "{text}");
+    for id in ["dup", "dup-stream", "dup-keys"] {
+        let line = text
+            .lines()
+            .find(|line| {
+                line.contains(&format!("\"client_id\":\"{id}\"")) && line.contains("\"stats\"")
+            })
+            .unwrap_or_else(|| panic!("no terminal for {id}: {text}"));
+        assert!(line.contains("\"cache_hit\":true"), "{line}");
+    }
+    let stats = eng.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (3, 5), "{stats:?}");
+}
+
+#[test]
+fn a_follower_joined_at_submission_counts_as_a_miss() {
+    let policy = GatePolicy::new(1);
+    let eng = Arc::new(gated_engine(&policy, 2));
+    let run = || {
+        let eng = Arc::clone(&eng);
+        thread::spawn(move || eng.run_one(check_request()))
+    };
+    let leader = run();
+    wait_until("the leader to execute", || policy.calls() >= 1);
+    let follower = run();
+    wait_until("the duplicate to join", || eng.coalesce_stats().1 == 1);
+    policy.release();
+    let (leader, follower) = (leader.join().unwrap(), follower.join().unwrap());
+    assert_eq!(leader.outcome, follower.outcome);
+    assert!(!leader.stats.cache_hit && !follower.stats.cache_hit);
+    let stats = eng.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (0, 2), "{stats:?}");
+    // The entry the flight left answers the next ask at submission.
+    let again = eng.run_one(check_request());
+    assert!(again.stats.cache_hit && again.stats.worker == 0);
+    assert_eq!(eng.cache_stats().hits, 1);
+}
